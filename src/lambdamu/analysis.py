@@ -57,8 +57,12 @@ class ReductionGraph:
 
 
 def reduction_graph(t: Term, fuel: int) -> ReductionGraph:
-    """Breadth-first closure of the one-step relation from canonical(t),
-    stopping once the node count would exceed `fuel`."""
+    """Breadth-first closure of the one-step relation from canonical(t).
+
+    Whole levels are kept: when a level's new nodes would take the node
+    count past `fuel` (or the work past its allowance), that level is
+    left out and the graph is incomplete.  So a cut graph depends only
+    on the term and the fuel, not on set iteration order."""
     if fuel < 1:
         raise ValueError("fuel must be at least 1")
     _headroom()
@@ -67,22 +71,24 @@ def reduction_graph(t: Term, fuel: int) -> ReductionGraph:
     nodes = {root}
     edges: set[tuple[Term, Term]] = set()
     frontier = [root]
-    complete = True
     work = term_size(root)
     while frontier:
-        next_frontier = []
+        level = []
+        level_edges = []
         for node in frontier:
             for reduct in one_step_reducts(node):
                 if reduct not in nodes:
                     work += term_size(reduct)
-                    if len(nodes) + 1 > fuel or work > allowance:
-                        complete = False
-                        continue
                     nodes.add(reduct)
-                    next_frontier.append(reduct)
-                edges.add((node, reduct))
-        frontier = next_frontier
-    return ReductionGraph(root, frozenset(nodes), frozenset(edges), complete)
+                    level.append(reduct)
+                level_edges.append((node, reduct))
+        if len(nodes) > fuel or work > allowance:
+            nodes.difference_update(level)
+            edges.update(e for e in level_edges if e[1] in nodes)
+            return ReductionGraph(root, frozenset(nodes), frozenset(edges), False)
+        edges.update(level_edges)
+        frontier = level
+    return ReductionGraph(root, frozenset(nodes), frozenset(edges), True)
 
 
 _WHITE, _GREY, _BLACK = 0, 1, 2

@@ -243,6 +243,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "fuel", 1) < 1:
+        print(f"error: --fuel must be at least 1, got {args.fuel}", file=sys.stderr)
+        return USAGE
     try:
         return args.fn(args)
     except ParseError as err:

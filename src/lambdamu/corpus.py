@@ -15,11 +15,14 @@ Three views of "every well-typed term within bounds":
 
 Subject reduction does depend on annotations, so the sweep over the
 full corpus runs symbolically: shapes are annotated with their
-principal type expressions (metavariables allowed), every reachable
-reduct is re-typed with syntactic equality checks, and a success
-covers all concrete annotation instances at once.  The only inspection
-reduction performs on an annotation (is the contracted mu binder's
-annotation an arrow?) is handled by case-splitting the metavariable.
+principal type expressions (metavariables allowed), and every reachable
+reduct is re-typed with the kernel's `infer`, whose equality checks are
+syntactic, so a success covers all concrete annotation instances at
+once.  The only inspection reduction performs on an annotation (is the
+contracted mu binder's annotation an arrow?) is handled by
+case-splitting the metavariable.  Any failure to type, or any type that
+differs from the root's, sends the branch to an exact per-instance
+check, which is the only source of reported violations.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
 
-from .reduction import is_normal_form, redex_positions, reduce_at
+from .reduction import is_normal_form, one_step_reducts
 from .syntax import print_term
 from .terms import (
     APP,
@@ -38,9 +41,11 @@ from .terms import (
     VAR,
     Term,
     TypeExpr,
+    canonical,
+    free_vars,
     fresh_name,
 )
-from .typecheck import connective_count
+from .typecheck import TypeCheckError, check_subject_reduction, connective_count, infer
 
 META = "?"
 
@@ -557,7 +562,7 @@ def shape_scan(ctx: Mapping[str, TypeExpr], max_cxty: int, lgt_bound: int) -> Sh
             ShapeEntry(
                 print_term(shape),
                 count,
-                frozenset(n for n in free if _uses(shape, n)),
+                free_vars(shape),
                 is_normal_form(shape),
             )
         )
@@ -565,17 +570,6 @@ def shape_scan(ctx: Mapping[str, TypeExpr], max_cxty: int, lgt_bound: int) -> Sh
     out = ShapeScan(tuple(entries), total, seen, typeable)
     _scan_cache[key] = out
     return out
-
-
-def _uses(t: Term, name: str) -> bool:
-    tag = t[0]
-    if tag == VAR:
-        return t[1] == name
-    if tag == APP:
-        return _uses(t[1], name) or _uses(t[2], name)
-    if t[1] == name:
-        return False
-    return _uses(t[3], name)
 
 
 def clear_scan_cache() -> None:
@@ -598,54 +592,8 @@ def materialize_instance(shape: Term, ctx: Mapping[str, TypeExpr], lgt_bound: in
     return None
 
 
-def _has_meta(expr) -> bool:
-    if is_metavar(expr):
-        return True
-    if isinstance(expr, tuple) and expr[0] == ARROW:
-        return _has_meta(expr[1]) or _has_meta(expr[2])
-    return False
-
-
 # ---------------------------------------------------------------------------
 # symbolic subject reduction
-
-
-class _SymbolicTypeError(Exception):
-    def __init__(self, kind: str, involves_meta: bool):
-        self.kind = kind
-        self.involves_meta = involves_meta
-        super().__init__(kind)
-
-
-def _symbolic_infer(ctx: dict, t: Term):
-    """infer with metavariable-containing annotations and purely
-    syntactic equality checks.  Success means every instantiation of the
-    metavariables yields the correspondingly instantiated type."""
-    tag = t[0]
-    if tag == VAR:
-        ty = ctx.get(t[1])
-        if ty is None:
-            raise _SymbolicTypeError("unbound-variable", False)
-        return ty
-    if tag == APP:
-        fty = _symbolic_infer(ctx, t[1])
-        if not (isinstance(fty, tuple) and fty[0] == ARROW):
-            raise _SymbolicTypeError("not-an-arrow", is_metavar(fty))
-        aty = _symbolic_infer(ctx, t[2])
-        if aty != fty[1]:
-            raise _SymbolicTypeError(
-                "argument-mismatch", _has_meta(aty) or _has_meta(fty[1])
-            )
-        return fty[2]
-    name, annot, body = t[1], t[2], t[3]
-    if annot is None:
-        raise _SymbolicTypeError("unannotated-binder", False)
-    if tag == LAM:
-        return (ARROW, annot, _symbolic_infer({**ctx, name: annot}, body))
-    bty = _symbolic_infer({**ctx, name: (ARROW, annot, BOT)}, body)
-    if bty != BOT:
-        raise _SymbolicTypeError("mu-body-not-bot", _has_meta(bty))
-    return annot
 
 
 def _term_type_subst(t: Term, binding: dict) -> Term:
@@ -670,10 +618,18 @@ def _collect_binder_exprs(t: Term, acc: list) -> None:
     _collect_binder_exprs(t[3], acc)
 
 
-def _subterm_at(t: Term, path) -> Term:
-    for step in path:
-        t = t[1] if step == "fun" else t[2] if step == "arg" else t[3]
-    return t
+def _metavar_mu_redex(t: Term):
+    """The annotation of the first mu redex, in document order, whose
+    annotation is a metavariable; None when there is no such redex."""
+    tag = t[0]
+    if tag == VAR:
+        return None
+    if tag == APP:
+        fun = t[1]
+        if fun[0] == MU and is_metavar(fun[2]):
+            return fun[2]
+        return _metavar_mu_redex(fun) or _metavar_mu_redex(t[2])
+    return _metavar_mu_redex(t[3])
 
 
 @dataclass
@@ -696,9 +652,10 @@ def sr_shape_sweep(
 
     Metavariable case-splits (bot vs fresh arrow) happen when reduction
     must inspect a mu annotation of unknown shape; branches with no
-    realizable instances are dropped.  If a syntactic check is too
-    coarse, the affected branch falls back to checking its concrete
-    instances one by one.
+    realizable instances are dropped.  If a term of a branch fails to
+    type or a reduct's type differs from the root's, the branch falls
+    back to checking its concrete instances one by one, so every
+    violation reported names a concrete instance.
     """
     universe = enumerate_types(lgt_bound)
     p = principal_typing(shape, ctx)
@@ -716,58 +673,48 @@ def _branch_realizable(root: Term, universe) -> bool:
     return assignment_count(exprs, universe) > 0
 
 
+def _type_or_none(ctx, t: Term):
+    try:
+        return infer(ctx, t)
+    except TypeCheckError:
+        return None
+
+
 def _sweep_branch(root, ctx, universe, max_nodes, fallback_cap, result) -> None:
     if not _branch_realizable(root, universe):
         return
-    try:
-        root_ty = _symbolic_infer(ctx, root)
-    except _SymbolicTypeError:
+    root_ty = _type_or_none(ctx, root)
+    if root_ty is None:
         _fallback_concrete(root, ctx, universe, fallback_cap, result)
         return
-    from .terms import canonical
-
-    seen = {canonical(root)}
-    frontier = [canonical(root)]
+    start = canonical(root)
+    seen = {start}
+    frontier = [start]
     while frontier:
         next_frontier = []
         for node in frontier:
             result.nodes += 1
-            for path in redex_positions(node):
-                redex = _subterm_at(node, path)
-                if redex[1][0] == MU and is_metavar(redex[1][2]):
-                    # the mu rule inspects this annotation: split it
-                    m = redex[1][2]
-                    arrow_case = (ARROW, (META, (m, 1)), (META, (m, 2)))
-                    for inst in (BOT, arrow_case):
-                        _sweep_branch(
-                            _term_type_subst(root, {m: inst}),
-                            ctx,
-                            universe,
-                            max_nodes,
-                            fallback_cap,
-                            result,
-                        )
-                    return
-                reduct = canonical(reduce_at(node, path))
-                result.edges += 1
-                try:
-                    ty = _symbolic_infer(ctx, reduct)
-                    mismatch = ty != root_ty
-                    meta_involved = mismatch and (_has_meta(ty) or _has_meta(root_ty))
-                except _SymbolicTypeError as err:
-                    mismatch = True
-                    meta_involved = err.involves_meta
-                if mismatch:
-                    if meta_involved:
-                        _fallback_concrete(root, ctx, universe, fallback_cap, result)
-                    else:
-                        witness = _concrete_witness(root, universe)
-                        result.violations.append(
-                            (
-                                print_term(witness) if witness is not None else repr(root),
-                                "type not preserved along a reduction edge",
-                            )
-                        )
+            m = _metavar_mu_redex(node)
+            if m is not None:
+                # the mu rule inspects this annotation: split it
+                arrow_case = (ARROW, (META, (m, 1)), (META, (m, 2)))
+                for inst in (BOT, arrow_case):
+                    _sweep_branch(
+                        _term_type_subst(root, {m: inst}),
+                        ctx,
+                        universe,
+                        max_nodes,
+                        fallback_cap,
+                        result,
+                    )
+                return
+            reducts = one_step_reducts(node)
+            result.edges += len(reducts)
+            for reduct in reducts:
+                # metavariables compare by syntactic equality, so an equal
+                # type here is equal in every concrete instance
+                if _type_or_none(ctx, reduct) != root_ty:
+                    _fallback_concrete(root, ctx, universe, fallback_cap, result)
                     return
                 if reduct not in seen:
                     if len(seen) >= max_nodes:
@@ -780,18 +727,8 @@ def _sweep_branch(root, ctx, universe, max_nodes, fallback_cap, result) -> None:
         frontier = sorted(next_frontier, key=repr)
 
 
-def _concrete_witness(symbolic_root: Term, universe) -> Optional[Term]:
-    exprs: list = []
-    _collect_binder_exprs(symbolic_root, exprs)
-    for binding in assignments(exprs, universe):
-        return _term_type_subst(symbolic_root, binding)
-    return None
-
-
 def _fallback_concrete(symbolic_root, ctx, universe, cap, result) -> None:
     """Last resort: check each concrete instance of this branch."""
-    from .typecheck import TypeCheckError, check_subject_reduction
-
     result.fallbacks += 1
     exprs: list = []
     _collect_binder_exprs(symbolic_root, exprs)

@@ -50,6 +50,7 @@ from .terms import (
     free_occurrences,
     free_vars,
     fresh_name,
+    rename_binders_apart,
     strip_annotations,
     substitute,
     substitute_parallel,
@@ -236,7 +237,10 @@ def measure_quadruple(
 
 def check_arg_substitution_inclusion(term: Term, x: str, n: Term) -> CheckResult:
     """arg(M[x:=N]) must sit inside arg(N), {N} and the substituted
-    arg(M), up to alpha."""
+    arg(M), up to alpha, with M's binders first renamed apart from x and
+    from the free variables of N (the variable convention), so that no
+    part is substituted under a binder of M or captured by one."""
+    term = rename_binders_apart(term, {x} | free_vars(n))
     lhs = arg_terms(substitute(term, x, n))
     rhs = set(arg_terms(n))
     rhs.add(canonical(n))

@@ -193,14 +193,16 @@ def _head_redex_path(t: Term) -> Path:
 
 def arg_terms(t: Term) -> set[Term]:
     """The head-form argument set: spine elements for a variable head,
-    body and argument of the redex plus the remaining spine otherwise.
-    Returned as canonical forms (duplicates collapse)."""
+    abstraction and argument of the redex plus the remaining spine
+    otherwise.  The redex's abstraction is taken whole, so no part has a
+    binder of the redex free.  Returned as canonical forms (duplicates
+    collapse)."""
     hf = head_form(t)
     if hf.head_is_variable:
         parts = hf.spine
     else:
         redex = hf.head
-        parts = (redex[1][3], redex[2]) + hf.spine
+        parts = (redex[1], redex[2]) + hf.spine
     return {canonical(p) for p in parts}
 
 

@@ -211,7 +211,11 @@ def format_type(t: TypeExpr, compact: bool = False) -> str:
     def go(t: TypeExpr) -> str:
         if t == BOT:
             return "bot"
-        dom, cod = t[1], t[2]
+        try:
+            dom, cod = t[1], t[2]
+        except IndexError:
+            # a metavariable ("?", k) of a principal typing
+            return f"?{t[1]}"
         left = go(dom)
         if dom != BOT:
             left = f"({left})"

@@ -191,6 +191,25 @@ def canonical(t: Term) -> Term:
     return walk(t, {})
 
 
+def rename_binders_apart(t: Term, avoid) -> Term:
+    """t, alpha-equivalent, with every binder renamed (by fresh_name) to
+    a name outside `avoid`, outside the free variables of t, and unlike
+    every other binder: the variable convention."""
+    taken = set(avoid) | free_vars(t)
+
+    def walk(t: Term, env: dict[str, str]) -> Term:
+        tag = t[0]
+        if tag == VAR:
+            return (VAR, env.get(t[1], t[1]))
+        if tag == APP:
+            return (APP, walk(t[1], env), walk(t[2], env))
+        name = fresh_name(t[1], taken)
+        taken.add(name)
+        return (tag, name, t[2], walk(t[3], {**env, t[1]: name}))
+
+    return walk(t, {})
+
+
 def alpha_eq(a: Term, b: Term) -> bool:
     """True iff a and b differ only in bound names (annotations matter)."""
     return _alpha(a, b, {}, {}, 0)

@@ -59,7 +59,8 @@ def _infer(ctx: Context, t: Term, path: tuple[str, ...]) -> TypeExpr:
         return ty
     if tag == APP:
         fun_ty = _infer(ctx, t[1], path + ("fun",))
-        if fun_ty == BOT:
+        # bot, or a metavariable when the annotations come from a principal typing
+        if fun_ty[0] != ARROW:
             raise TypeCheckError(
                 NOT_AN_ARROW, path, f"function part has type {format_type(fun_ty)}"
             )

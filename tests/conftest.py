@@ -39,3 +39,13 @@ terms = st.recursive(
     ),
     max_leaves=10,
 )
+
+# (M, x, N) triples that falsified the Lemma 3 inclusion while arg took a
+# redex's open body and M's binders were not renamed apart
+ARG_INCLUSION_REGRESSIONS = [
+    ("x a", "x", "\\u. u u"),
+    ("a a", "a", "\\a. a"),
+    ("(\\x. x) a", "x", "\\u. u"),
+    ("(\\y. x y) a", "x", "\\w. y"),
+    ("\\x. y x", "x", "\\u. u"),
+]

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -60,6 +64,21 @@ def test_sn_unknown(capsys):
     assert code == 1 and out.startswith("Unknown nodes_visited=")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sn", "x", "--fuel", "0"),
+        ("eta", "x", "--fuel", "-1"),
+        ("graph", "x", "--fuel", "0"),
+        ("lemmas", "--suite", "thm8", "--max-size", "5", "--context", "v:bot", "--fuel", "0"),
+    ],
+)
+def test_fuel_below_one_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: --fuel must be at least 1, got %s\n" % argv[-1]
+
+
 def test_reduce_trace(capsys):
     code, out, _ = run(capsys, "reduce", MU_EXAMPLE, "--trace")
     assert code == 0
@@ -83,6 +102,24 @@ def test_graph_dot(capsys):
     assert code == 0
     assert out.startswith("digraph reduction {")
     assert '[root=true]' in out
+
+
+def test_cut_graph_does_not_depend_on_hash_seed():
+    # fuel 7 cuts this graph; which nodes survive the cut must not
+    # follow set iteration order
+    import lambdamu
+
+    src = str(Path(lambdamu.__file__).resolve().parent.parent)
+    argv = [sys.executable, "-m", "lambdamu.cli", "graph",
+            "f ((\\x. x) v) ((\\x. x) v) ((\\x. x) v) ((\\x. x) v) ((\\x. x) v)",
+            "--fuel", "7"]
+    outs = set()
+    for seed in ("1", "2", "3", "4"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+        outs.add(done.stdout)
+    assert len(outs) == 1
+    assert outs.pop().startswith("digraph reduction {")
 
 
 def test_lemmas_json(capsys, tmp_path):

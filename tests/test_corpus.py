@@ -21,7 +21,7 @@ from lambdamu.corpus import (
 )
 from lambdamu.syntax import format_type, parse_term, parse_type, print_term
 from lambdamu.terms import canonical, strip_annotations, term_size
-from lambdamu.typecheck import check_subject_reduction, infer
+from lambdamu.typecheck import TypeCheckError, check_subject_reduction, infer
 from oracles import generate_and_filter
 
 BOT = "bot"
@@ -167,3 +167,35 @@ def test_symbolic_sr_agrees_with_per_instance_checks():
             assert report.ok, (entry.text, print_term(inst))
             checked_edges += report.edges_checked
     assert checked_edges > 0
+
+
+def test_infer_rejects_metavariable_types_with_a_type_error():
+    """The sweep types metavariable-annotated terms with the kernel's
+    infer; a metavariable where an arrow or bot is needed must raise
+    TypeCheckError, which sends the branch to the concrete fallback."""
+    meta = ("?", 1)
+    with pytest.raises(TypeCheckError, match="not-an-arrow"):
+        infer({"f": meta, "v": BOT}, ("app", ("var", "f"), ("var", "v")))
+    with pytest.raises(TypeCheckError, match="mu-body-not-bot"):
+        infer({"w": meta}, ("mu", "k", BOT, ("var", "w")))
+
+
+def test_sr_sweep_falls_back_to_concrete_instances(monkeypatch):
+    """A mistyped reduct sends the branch to the per-instance check,
+    which reports the concrete instance and the offending edge."""
+    from lambdamu import corpus, reduction
+
+    real = reduction.one_step_reducts
+    stray = parse_term("\\x0:bot. x0")
+
+    def with_stray(t):
+        out = real(t)
+        return out | {stray} if out else out
+
+    monkeypatch.setattr(corpus, "one_step_reducts", with_stray)
+    monkeypatch.setattr(reduction, "one_step_reducts", with_stray)
+    res = sr_shape_sweep(parse_term("(\\b0. b0) v"), {"v": BOT}, 2)
+    assert res.fallbacks == 1
+    assert res.violations == [
+        ("(\\b0:bot. b0) v", "(\\x0:bot. x0) v -> \\x0:bot. x0 has type bot -> bot")
+    ]

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import ARG_INCLUSION_REGRESSIONS
 from lambdamu.analysis import NotSN, StronglyNormalizing, Unknown, explore_sn
 from lambdamu.lemmas import (
     UNDECIDED,
@@ -168,6 +169,12 @@ def test_arg_inclusion_under_binder():
         parse_term("\\a. (\\b. b) x"), "x", parse_term("z w")
     )
     assert res.holds
+
+
+@pytest.mark.parametrize("m, x, n", ARG_INCLUSION_REGRESSIONS)
+def test_arg_inclusion_regressions(m, x, n):
+    res = check_arg_substitution_inclusion(parse_term(m), x, parse_term(n))
+    assert res.holds, res.detail
 
 
 def test_sn_decomposition_on_omega():

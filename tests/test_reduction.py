@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import names, terms
+from conftest import ARG_INCLUSION_REGRESSIONS, names, terms
 from lambdamu.reduction import (
     HeadForm,
     InvalidPositionError,
@@ -26,6 +26,7 @@ from lambdamu.terms import (
     free_vars,
     lam,
     mu,
+    rename_binders_apart,
     substitute,
     var,
 )
@@ -129,10 +130,12 @@ def test_head_reduce():
 
 def test_arg_terms_definition_cases():
     assert arg_terms(parse_term("x p q")) == {canonical(var("p")), canonical(var("q"))}
+    # a redex head contributes its abstraction whole, not the open body
     t = parse_term("\\a. (\\x. p) q o1")
-    assert arg_terms(t) == {canonical(var("p")), canonical(var("q")), canonical(var("o1"))}
+    rest = {canonical(var("q")), canonical(var("o1"))}
+    assert arg_terms(t) == {canonical(parse_term("\\x. p"))} | rest
     m = parse_term("\\a. (mu x. p) q o1")
-    assert arg_terms(m) == arg_terms(t)
+    assert arg_terms(m) == {canonical(parse_term("mu x. p"))} | rest
     assert arg_terms(parse_term("\\x. x")) == set()
 
 
@@ -148,14 +151,25 @@ def test_hred_is_a_one_step_reduct(t):
         assert canonical(h) in one_step_reducts(t)
 
 
-@given(terms, names, terms)
-@settings(max_examples=60)
-def test_arg_substitution_inclusion(m, x, n):
-    # arg(M[x:=N]) inside arg(N) + {N} + substituted arg(M)
+def _arg_inclusion_holds(m, x, n):
+    # arg(M[x:=N]) inside arg(N) + {N} + substituted arg(M), with M's
+    # binders renamed apart from x and FV(N) (the variable convention)
+    m = rename_binders_apart(m, {x} | free_vars(n))
     lhs = arg_terms(substitute(m, x, n))
     rhs = set(arg_terms(n)) | {canonical(n)}
     rhs |= {canonical(substitute(q, x, n)) for q in arg_terms(m)}
-    assert lhs <= rhs
+    return lhs <= rhs
+
+
+@pytest.mark.parametrize("m, x, n", ARG_INCLUSION_REGRESSIONS)
+def test_arg_substitution_inclusion_regressions(m, x, n):
+    assert _arg_inclusion_holds(parse_term(m), x, parse_term(n))
+
+
+@given(terms, names, terms)
+@settings(max_examples=60)
+def test_arg_substitution_inclusion(m, x, n):
+    assert _arg_inclusion_holds(m, x, n)
 
 
 def test_mu_contraction_matches_template():
