@@ -129,6 +129,7 @@ def explore_sn(t: Term, fuel: int) -> SnStatus:
     """
     if fuel < 1:
         raise ValueError("fuel must be at least 1")
+    _headroom()
     root = canonical(t)
     if is_normal_form(root):
         return StronglyNormalizing(0, 1)
@@ -147,7 +148,6 @@ def _sorted_reducts(node: Term) -> list[Term]:
 
 
 def _explore(root: Term, fuel: int) -> SnStatus:
-    _headroom()
     allowance = _work_allowance(fuel)
     color = {root: _GREY}
     eta: dict[Term, int] = {}

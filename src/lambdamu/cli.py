@@ -28,7 +28,7 @@ from .analysis import (
     longest_reduction,
     reduction_graph,
 )
-from .lemmas import SUITES, SuiteConfig, report_to_json, run_suite
+from .lemmas import SUITES, SamplingFailed, SuiteConfig, report_to_json, run_suite
 from .corpus import enumerate_typed_of_type
 from .reduction import (
     format_trace,
@@ -240,18 +240,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (argparse dest, least value) of the numeric options that have one
+_LOWER_BOUNDS = (("fuel", 1), ("max_size", 1), ("lgt_bound", 0))
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "fuel", 1) < 1:
-        print(f"error: --fuel must be at least 1, got {args.fuel}", file=sys.stderr)
-        return USAGE
+    for dest, least in _LOWER_BOUNDS:
+        value = getattr(args, dest, least)
+        if value < least:
+            flag = "--" + dest.replace("_", "-")
+            print(f"error: {flag} must be at least {least}, got {value}", file=sys.stderr)
+            return USAGE
     try:
         return args.fn(args)
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return USAGE
-    except OSError as err:
+    except (OSError, SamplingFailed) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE
 

@@ -15,13 +15,11 @@ Three views of "every well-typed term within bounds":
 
 Subject reduction does depend on annotations, so the sweep over the
 full corpus runs symbolically: shapes are annotated with their
-principal type expressions (metavariables allowed), and every reachable
-reduct is re-typed with the kernel's `infer`, whose equality checks are
-syntactic, so a success covers all concrete annotation instances at
-once.  The only inspection reduction performs on an annotation (is the
-contracted mu binder's annotation an arrow?) is handled by
-case-splitting the metavariable.  Any failure to type, or any type that
-differs from the root's, sends the branch to an exact per-instance
+principal type expressions (metavariables allowed), and every node of
+the reduction graph is re-typed with the kernel's `infer`, whose
+equality checks are syntactic, so a success covers all concrete
+annotation instances at once.  Any failure to type, or any type that
+differs from the root's, sends the shape to an exact per-instance
 check, which is the only source of reported violations.
 """
 
@@ -30,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
 
-from .reduction import is_normal_form, one_step_reducts
+from .analysis import reduction_graph
+from .reduction import is_normal_form
 from .syntax import print_term
 from .terms import (
     APP,
@@ -41,7 +40,6 @@ from .terms import (
     VAR,
     Term,
     TypeExpr,
-    canonical,
     free_vars,
     fresh_name,
 )
@@ -576,60 +574,27 @@ def clear_scan_cache() -> None:
     _scan_cache.clear()
 
 
+def instances(shape: Term, principal: Principal, universe) -> Iterator[Term]:
+    """Every concrete annotated instance of `shape`: one per assignment
+    compatible with its principal typing, in deterministic order.  A
+    match against a concrete universe type binds every metavariable of
+    the expression, so the annotations are ground."""
+    exprs = principal.binder_types
+    for binding in assignments(exprs, universe):
+        yield annotate_shape(shape, [apply_type_subst(e, binding) for e in exprs])
+
+
 def materialize_instance(shape: Term, ctx: Mapping[str, TypeExpr], lgt_bound: int) -> Optional[Term]:
-    """A concrete annotated instance of a realizable shape (the first
-    assignment in deterministic order), or None.  A match against a
-    concrete universe type binds every metavariable of the expression,
-    so the resulting annotations are ground."""
+    """The first concrete annotated instance of a realizable shape, or
+    None."""
     p = principal_typing(shape, ctx)
     if p is None:
         return None
-    universe = enumerate_types(lgt_bound)
-    for binding in assignments(p.binder_types, universe):
-        return annotate_shape(
-            shape, [apply_type_subst(e, binding) for e in p.binder_types]
-        )
-    return None
+    return next(instances(shape, p, enumerate_types(lgt_bound)), None)
 
 
 # ---------------------------------------------------------------------------
 # symbolic subject reduction
-
-
-def _term_type_subst(t: Term, binding: dict) -> Term:
-    tag = t[0]
-    if tag == VAR:
-        return t
-    if tag == APP:
-        return (APP, _term_type_subst(t[1], binding), _term_type_subst(t[2], binding))
-    ann = None if t[2] is None else apply_type_subst(t[2], binding)
-    return (tag, t[1], ann, _term_type_subst(t[3], binding))
-
-
-def _collect_binder_exprs(t: Term, acc: list) -> None:
-    tag = t[0]
-    if tag == VAR:
-        return
-    if tag == APP:
-        _collect_binder_exprs(t[1], acc)
-        _collect_binder_exprs(t[2], acc)
-        return
-    acc.append(t[2])
-    _collect_binder_exprs(t[3], acc)
-
-
-def _metavar_mu_redex(t: Term):
-    """The annotation of the first mu redex, in document order, whose
-    annotation is a metavariable; None when there is no such redex."""
-    tag = t[0]
-    if tag == VAR:
-        return None
-    if tag == APP:
-        fun = t[1]
-        if fun[0] == MU and is_metavar(fun[2]):
-            return fun[2]
-        return _metavar_mu_redex(fun) or _metavar_mu_redex(t[2])
-    return _metavar_mu_redex(t[3])
 
 
 @dataclass
@@ -638,39 +603,40 @@ class SrSweepResult:
     nodes: int
     fallbacks: int
     violations: list  # (term_text, reason)
+    complete: bool = True  # False when the symbolic graph was cut at fuel
+
+
+# concrete instances checked per fallback before giving up
+_FALLBACK_CAP = 65536
 
 
 def sr_shape_sweep(
     shape: Term,
     ctx: Mapping[str, TypeExpr],
     lgt_bound: int,
-    max_nodes: int = 100000,
-    fallback_cap: int = 65536,
+    fuel: int = 100000,
 ) -> SrSweepResult:
     """Verify type preservation along every reduction edge of every
     annotated instance of `shape`, symbolically where possible.
 
-    Metavariable case-splits (bot vs fresh arrow) happen when reduction
-    must inspect a mu annotation of unknown shape; branches with no
-    realizable instances are dropped.  If a term of a branch fails to
-    type or a reduct's type differs from the root's, the branch falls
-    back to checking its concrete instances one by one, so every
-    violation reported names a concrete instance.
+    The shape is annotated with its principal binder expressions and
+    every node of its reduction graph is typed.  Metavariables compare
+    by syntactic equality, so nodes that all share the root's type share
+    it in every concrete instance.  Otherwise the shape falls back to
+    checking its concrete instances one by one, so every violation
+    reported names a concrete instance.
     """
-    universe = enumerate_types(lgt_bound)
     p = principal_typing(shape, ctx)
-    result = SrSweepResult(0, 0, 0, [])
     if p is None:
-        return result
-    root = annotate_shape(shape, p.binder_types)
-    _sweep_branch(root, dict(ctx), universe, max_nodes, fallback_cap, result)
+        return SrSweepResult(0, 0, 0, [])
+    g = reduction_graph(annotate_shape(shape, p.binder_types), fuel)
+    result = SrSweepResult(len(g.edges), len(g.nodes), 0, [])
+    root_ty = _type_or_none(ctx, g.root)
+    if root_ty is None or any(_type_or_none(ctx, n) != root_ty for n in g.nodes):
+        _fallback_concrete(shape, p, ctx, enumerate_types(lgt_bound), fuel, result)
+    else:
+        result.complete = g.complete
     return result
-
-
-def _branch_realizable(root: Term, universe) -> bool:
-    exprs: list = []
-    _collect_binder_exprs(root, exprs)
-    return assignment_count(exprs, universe) > 0
 
 
 def _type_or_none(ctx, t: Term):
@@ -680,69 +646,15 @@ def _type_or_none(ctx, t: Term):
         return None
 
 
-def _sweep_branch(root, ctx, universe, max_nodes, fallback_cap, result) -> None:
-    if not _branch_realizable(root, universe):
-        return
-    root_ty = _type_or_none(ctx, root)
-    if root_ty is None:
-        _fallback_concrete(root, ctx, universe, fallback_cap, result)
-        return
-    start = canonical(root)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        next_frontier = []
-        for node in frontier:
-            result.nodes += 1
-            m = _metavar_mu_redex(node)
-            if m is not None:
-                # the mu rule inspects this annotation: split it
-                arrow_case = (ARROW, (META, (m, 1)), (META, (m, 2)))
-                for inst in (BOT, arrow_case):
-                    _sweep_branch(
-                        _term_type_subst(root, {m: inst}),
-                        ctx,
-                        universe,
-                        max_nodes,
-                        fallback_cap,
-                        result,
-                    )
-                return
-            reducts = one_step_reducts(node)
-            result.edges += len(reducts)
-            for reduct in reducts:
-                # metavariables compare by syntactic equality, so an equal
-                # type here is equal in every concrete instance
-                if _type_or_none(ctx, reduct) != root_ty:
-                    _fallback_concrete(root, ctx, universe, fallback_cap, result)
-                    return
-                if reduct not in seen:
-                    if len(seen) >= max_nodes:
-                        result.violations.append(
-                            (repr(root), "exploration budget exhausted")
-                        )
-                        return
-                    seen.add(reduct)
-                    next_frontier.append(reduct)
-        frontier = sorted(next_frontier, key=repr)
-
-
-def _fallback_concrete(symbolic_root, ctx, universe, cap, result) -> None:
-    """Last resort: check each concrete instance of this branch."""
+def _fallback_concrete(shape, p, ctx, universe, fuel, result) -> None:
+    """Last resort: check each concrete instance of the shape."""
     result.fallbacks += 1
-    exprs: list = []
-    _collect_binder_exprs(symbolic_root, exprs)
-    n = 0
-    for binding in assignments(exprs, universe):
-        n += 1
-        if n > cap:
-            result.violations.append(
-                (repr(symbolic_root), "fallback instance cap exceeded")
-            )
+    for n, inst in enumerate(instances(shape, p, universe)):
+        if n == _FALLBACK_CAP:
+            result.violations.append((print_term(inst), "fallback instance cap exceeded"))
             return
-        inst = _term_type_subst(symbolic_root, binding)
         try:
-            report = check_subject_reduction(ctx, inst, 10000)
+            report = check_subject_reduction(ctx, inst, fuel)
         except TypeCheckError as err:
             # every assignment of the principal exprs should typecheck
             result.violations.append(
@@ -751,6 +663,10 @@ def _fallback_concrete(symbolic_root, ctx, universe, cap, result) -> None:
             continue
         result.edges += report.edges_checked
         result.nodes += report.nodes_checked
+        if not report.complete:
+            result.violations.append(
+                (print_term(inst), f"Unknown nodes_visited={report.nodes_checked}")
+            )
         for src, dst, found in report.violations:
             result.violations.append(
                 (print_term(inst), f"{src} -> {dst} has type {found}")

@@ -441,13 +441,9 @@ def _shape_failures(
     shape = parse_term(entry.text)
     p = corpus.principal_typing(shape, ctx)
     ctx_str = print_context(ctx)
-    universe = enumerate_types(lgt_bound)
-    for binding in corpus.assignments(p.binder_types, universe):
+    for inst in corpus.instances(shape, p, enumerate_types(lgt_bound)):
         if len(failures) >= _FAILURE_CAP:
             raise FailureFlood(f"suite produced over {_FAILURE_CAP} failures")
-        inst = corpus.annotate_shape(
-            shape, [corpus.apply_type_subst(e, binding) for e in p.binder_types]
-        )
         failures.append((print_term(inst), ctx_str, reason))
 
 
@@ -509,6 +505,11 @@ def run_subject_reduction_suite(config: SuiteConfig) -> LemmaReport:
             if len(failures) >= _FAILURE_CAP:
                 raise FailureFlood(f"suite produced over {_FAILURE_CAP} failures")
             failures.append((term_text, ctx_str, reason))
+        if not res.complete:
+            _shape_failures(
+                entry, ctx, config.lgt_bound,
+                f"Unknown nodes_visited={res.nodes}", failures,
+            )
         st = explore_sn(shape, config.fuel)
         if isinstance(st, StronglyNormalizing):
             max_eta = max(max_eta, st.eta)
@@ -577,21 +578,32 @@ def _derived_seed(seed: int, i: int) -> int:
 
 
 _SAMPLE_GOALS_BUDGET = 9
+_SAMPLE_DRAWS = 1000
+
+
+class SamplingFailed(ValueError):
+    """No draw of the random sampler produced a term: the context and
+    size bound admit few typed terms, or none."""
 
 
 def _sample_term(
     ctx: dict, rng: random.Random, budget: int, lgt_bound: int
 ) -> TypedInstance:
     """A random corpus instance: goal drawn from the type universe,
-    retrying derived seeds until the sampler succeeds."""
+    retrying derived seeds until the sampler succeeds, at most
+    _SAMPLE_DRAWS times."""
     universe = enumerate_types(lgt_bound)
-    while True:
+    for _ in range(_SAMPLE_DRAWS):
         goal = universe[rng.randrange(len(universe))]
         inst = random_typed_term(
             ctx, goal, budget, rng.randrange(1 << 30), lgt_bound
         )
         if inst is not None:
             return inst
+    raise SamplingFailed(
+        f"no typed term of size <= {budget} under {{{print_context(ctx)}}} "
+        f"in {_SAMPLE_DRAWS} draws"
+    )
 
 
 def run_arg_inclusion_suite(config: SuiteConfig, samples: int = 1000) -> LemmaReport:

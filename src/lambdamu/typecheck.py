@@ -15,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from .analysis import reduction_graph
 from .syntax import format_type, print_context, print_term
-from .terms import APP, ARROW, BOT, LAM, MU, VAR, Term, TypeExpr, canonical
+from .terms import APP, ARROW, BOT, LAM, MU, VAR, Term, TypeExpr
 
 Context = dict[str, TypeExpr]
 
@@ -131,41 +132,25 @@ class SubjectReductionReport:
 
 
 def check_subject_reduction(
-    ctx: Mapping[str, TypeExpr], t: Term, max_steps: int
+    ctx: Mapping[str, TypeExpr], t: Term, fuel: int
 ) -> SubjectReductionReport:
-    """Breadth-first over the alpha-quotiented reducts of t, to depth
-    max_steps, verifying that every reachable term keeps the root's type.
-    """
-    from .reduction import one_step_reducts
-
+    """Type every node of t's reduction graph (`reduction_graph`, cut at
+    `fuel` nodes) and report each edge into a node whose type is not
+    t's: (source, reduct, the reduct's type or the failing rule)."""
     root_type = infer(ctx, t)
-    root = canonical(t)
-    seen = {root}
-    frontier = [root]
-    nodes = 1
-    edges = 0
-    complete = False
-    violations: list[tuple[str, str, str]] = []
-    for _ in range(max_steps):
-        if not frontier:
-            break
-        next_frontier = []
-        for node in frontier:
-            for reduct in sorted(one_step_reducts(node), key=print_term):
-                edges += 1
-                try:
-                    ty = infer(ctx, reduct)
-                    if ty != root_type:
-                        violations.append(
-                            (print_term(node), print_term(reduct), format_type(ty))
-                        )
-                except TypeCheckError as err:
-                    violations.append((print_term(node), print_term(reduct), err.kind))
-                if reduct not in seen:
-                    seen.add(reduct)
-                    nodes += 1
-                    next_frontier.append(reduct)
-        frontier = next_frontier
-    if not frontier:
-        complete = True
-    return SubjectReductionReport(root_type, nodes, edges, complete, violations)
+    g = reduction_graph(t, fuel)
+    wrong: dict[Term, str] = {}
+    for node in g.nodes:
+        try:
+            ty = infer(ctx, node)
+        except TypeCheckError as err:
+            wrong[node] = err.kind
+            continue
+        if ty != root_type:
+            wrong[node] = format_type(ty)
+    violations = sorted(
+        (print_term(src), print_term(dst), wrong[dst]) for src, dst in g.edges if dst in wrong
+    )
+    return SubjectReductionReport(
+        root_type, len(g.nodes), len(g.edges), g.complete, violations
+    )

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
@@ -150,3 +155,27 @@ def test_fuel_must_be_positive():
         explore_sn(var("x"), 0)
     with pytest.raises(ValueError):
         reduction_graph(var("x"), 0)
+
+
+def test_deep_binder_chain_in_a_fresh_process():
+    # built from tuples, so the parser's own depth plays no part; the
+    # fresh process starts at the interpreter's default recursion limit
+    import lambdamu
+
+    src = str(Path(lambdamu.__file__).resolve().parent.parent)
+    code = (
+        "from lambdamu.analysis import explore_sn\n"
+        "t = ('app', ('lam', 'y', None, ('var', 'y')), ('var', 'x'))\n"
+        "for _ in range(2000):\n"
+        "    t = ('lam', 'x', None, t)\n"
+        "print(explore_sn(t, 1000))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr[-500:]
+    assert done.stdout == "StronglyNormalizing(eta=1, graph_nodes=2)\n"

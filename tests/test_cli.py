@@ -71,12 +71,37 @@ def test_sn_unknown(capsys):
         ("eta", "x", "--fuel", "-1"),
         ("graph", "x", "--fuel", "0"),
         ("lemmas", "--suite", "thm8", "--max-size", "5", "--context", "v:bot", "--fuel", "0"),
+        ("lemmas", "--suite", "thm8", "--max-size", "-1"),
+        ("lemmas", "--suite", "thm8", "--max-size", "0"),
+        ("lemmas", "--suite", "thm8", "--lgt-bound", "-1"),
+        ("enumerate", "--type", "bot", "--max-size", "0"),
+        ("enumerate", "--type", "bot", "--lgt-bound", "-1"),
     ],
 )
 def test_fuel_below_one_is_a_usage_error(capsys, argv):
+    # and --max-size below 1 and --lgt-bound below 0, likewise
+    flag, value = argv[-2:]
+    least = 0 if flag == "--lgt-bound" else 1
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert err == "error: --fuel must be at least 1, got %s\n" % argv[-1]
+    assert err == "error: %s must be at least %d, got %s\n" % (flag, least, value)
+
+
+def test_sampler_without_inhabitants_is_a_usage_error():
+    # no context and size 1: no term exists, so the l3 sampler must give up
+    import lambdamu
+
+    src = str(Path(lambdamu.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "lambdamu.cli", "lemmas", "--suite", "l3", "--max-size", "1"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: no typed term of size <= 1")
+    assert done.stderr.count("\n") == 1
 
 
 def test_reduce_trace(capsys):

@@ -172,18 +172,22 @@ def test_symbolic_sr_agrees_with_per_instance_checks():
 def test_infer_rejects_metavariable_types_with_a_type_error():
     """The sweep types metavariable-annotated terms with the kernel's
     infer; a metavariable where an arrow or bot is needed must raise
-    TypeCheckError, which sends the branch to the concrete fallback."""
+    TypeCheckError, which sends the shape to the concrete fallback.  So
+    a mu redex whose annotation is a metavariable never passes, and the
+    sweep needs no case split on it."""
     meta = ("?", 1)
     with pytest.raises(TypeCheckError, match="not-an-arrow"):
         infer({"f": meta, "v": BOT}, ("app", ("var", "f"), ("var", "v")))
     with pytest.raises(TypeCheckError, match="mu-body-not-bot"):
         infer({"w": meta}, ("mu", "k", BOT, ("var", "w")))
+    with pytest.raises(TypeCheckError, match="not-an-arrow"):
+        infer({"v": BOT}, ("app", ("mu", "k", meta, ("var", "v")), ("var", "v")))
 
 
 def test_sr_sweep_falls_back_to_concrete_instances(monkeypatch):
-    """A mistyped reduct sends the branch to the per-instance check,
+    """A mistyped reduct sends the shape to the per-instance check,
     which reports the concrete instance and the offending edge."""
-    from lambdamu import corpus, reduction
+    from lambdamu import analysis, reduction
 
     real = reduction.one_step_reducts
     stray = parse_term("\\x0:bot. x0")
@@ -192,10 +196,24 @@ def test_sr_sweep_falls_back_to_concrete_instances(monkeypatch):
         out = real(t)
         return out | {stray} if out else out
 
-    monkeypatch.setattr(corpus, "one_step_reducts", with_stray)
+    monkeypatch.setattr(analysis, "one_step_reducts", with_stray)
     monkeypatch.setattr(reduction, "one_step_reducts", with_stray)
     res = sr_shape_sweep(parse_term("(\\b0. b0) v"), {"v": BOT}, 2)
     assert res.fallbacks == 1
     assert res.violations == [
         ("(\\b0:bot. b0) v", "(\\x0:bot. x0) v -> \\x0:bot. x0 has type bot -> bot")
     ]
+
+
+def test_sr_fallback_cap_names_a_concrete_instance(monkeypatch):
+    from lambdamu import analysis, corpus
+
+    real = analysis.one_step_reducts
+    stray = parse_term("\\x0:bot. x0")
+    monkeypatch.setattr(
+        analysis, "one_step_reducts", lambda t: real(t) | {stray} if real(t) else set()
+    )
+    monkeypatch.setattr(corpus, "_FALLBACK_CAP", 0)
+    res = sr_shape_sweep(parse_term("(\\b0. b0) v"), {"v": BOT}, 2)
+    assert res.violations == [("(\\b0:bot. b0) v", "fallback instance cap exceeded")]
+    infer({"v": BOT}, parse_term(res.violations[0][0]))  # must not raise

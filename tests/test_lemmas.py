@@ -281,6 +281,19 @@ def test_sr_suite_small():
     assert report.instances == sum(1 for _ in enumerate_well_typed(V_CTX, 5, 2))
 
 
+def test_sr_suite_reports_cut_graphs_per_concrete_instance():
+    """At fuel 3 some graphs are cut: each such shape is reported once per
+    concrete instance, as thm8 reports its Unknown verdicts."""
+    cfg = SuiteConfig.make(V_CTX, max_cxty=7, lgt_bound=2, fuel=3)
+    report = run_suite("sr", cfg)
+    assert report.failures
+    for term, ctx_str, reason in report.failures:
+        assert ctx_str == "v:bot" and reason.startswith("Unknown nodes_visited=")
+        infer(V_CTX, parse_term(term))  # must not raise
+    thm8 = run_suite("thm8", cfg)
+    assert [f[0] for f in report.failures] == [f[0] for f in thm8.failures]
+
+
 def test_l4_suite_includes_catalog():
     report = run_suite("l4", SMALL)
     assert report.ok

@@ -98,3 +98,34 @@ def test_subject_reduction_mu_graph():
 def test_subject_reduction_requires_typed_root():
     with pytest.raises(TypeCheckError):
         check_subject_reduction({}, parse_term("\\x. x"), 5)
+
+
+def test_subject_reduction_on_a_cut_graph_is_incomplete():
+    t = parse_term("(\\x:bot. x) ((\\x:bot. x) y)")
+    report = check_subject_reduction({"y": "bot"}, t, 1)
+    assert not report.complete and report.ok
+    assert (report.nodes_checked, report.edges_checked) == (1, 0)
+    assert check_subject_reduction({"y": "bot"}, t, 3).complete
+
+
+def test_subject_reduction_lists_each_edge_into_a_mistyped_node(monkeypatch):
+    from lambdamu import analysis
+
+    real = analysis.one_step_reducts
+    strays = {parse_term("\\x0:bot. x0"), parse_term("y y")}
+
+    def with_strays(t):
+        out = real(t)
+        return out | strays if out else out
+
+    monkeypatch.setattr(analysis, "one_step_reducts", with_strays)
+    t = parse_term("(\\x:bot. x) ((\\x:bot. x) y)")
+    report = check_subject_reduction({"y": "bot"}, t, 10)
+    assert report.complete and (report.nodes_checked, report.edges_checked) == (5, 6)
+    root, middle = "(\\x0:bot. x0) ((\\x1:bot. x1) y)", "(\\x0:bot. x0) y"
+    assert report.violations == [
+        (root, "\\x0:bot. x0", "bot -> bot"),
+        (root, "y y", "not-an-arrow"),
+        (middle, "\\x0:bot. x0", "bot -> bot"),
+        (middle, "y y", "not-an-arrow"),
+    ]
