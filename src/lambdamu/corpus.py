@@ -15,12 +15,12 @@ Three views of "every well-typed term within bounds":
 
 Subject reduction does depend on annotations, so the sweep over the
 full corpus runs symbolically: shapes are annotated with their
-principal type expressions (metavariables allowed), and every node of
-the reduction graph is re-typed with the kernel's `infer`, whose
-equality checks are syntactic, so a success covers all concrete
-annotation instances at once.  Any failure to type, or any type that
-differs from the root's, sends the shape to an exact per-instance
-check, which is the only source of reported violations.
+principal type expressions (metavariables allowed) and typed through
+the kernel's `check_subject_reduction`, whose equality checks are
+syntactic, so a success covers all concrete annotation instances at
+once.  A root that fails to type, or any reduct that fails to type or
+whose type differs from the root's, sends the shape to an exact
+per-instance check, which is the only source of reported violations.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
 
-from .analysis import reduction_graph
 from .reduction import is_normal_form
 from .syntax import print_term
 from .terms import (
@@ -43,7 +42,7 @@ from .terms import (
     free_vars,
     fresh_name,
 )
-from .typecheck import TypeCheckError, check_subject_reduction, connective_count, infer
+from .typecheck import TypeCheckError, check_subject_reduction, connective_count
 
 META = "?"
 
@@ -494,11 +493,12 @@ def annotate_shape(shape: Term, binder_types) -> Term:
 # the shape scan
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ShapeEntry:
     """One realizable erased shape: its text, how many annotated
-    instances it stands for, which context names it uses, and whether it
-    is a normal form."""
+    instances it stands for, which context names it uses (one frozenset
+    shared by every entry of a scan with the same names), and whether
+    it is a normal form."""
 
     text: str
     instances: int
@@ -544,6 +544,7 @@ def shape_scan(ctx: Mapping[str, TypeExpr], max_cxty: int, lgt_bound: int) -> Sh
     universe = enumerate_types(lgt_bound)
     free = tuple(sorted(ctx))
     entries = []
+    uses: dict[frozenset[str], frozenset[str]] = {}
     total = 0
     seen = 0
     typeable = 0
@@ -556,11 +557,12 @@ def shape_scan(ctx: Mapping[str, TypeExpr], max_cxty: int, lgt_bound: int) -> Sh
         count = assignment_count(p.binder_types, universe)
         if count == 0:
             continue
+        names_used = free_vars(shape)
         entries.append(
             ShapeEntry(
                 print_term(shape),
                 count,
-                free_vars(shape),
+                uses.setdefault(names_used, names_used),
                 is_normal_form(shape),
             )
         )
@@ -620,30 +622,28 @@ def sr_shape_sweep(
     annotated instance of `shape`, symbolically where possible.
 
     The shape is annotated with its principal binder expressions and
-    every node of its reduction graph is typed.  Metavariables compare
-    by syntactic equality, so nodes that all share the root's type share
-    it in every concrete instance.  Otherwise the shape falls back to
-    checking its concrete instances one by one, so every violation
-    reported names a concrete instance.
+    typed with `check_subject_reduction`.  Metavariables compare by
+    syntactic equality, so a report without violations holds in every
+    concrete instance.  When the report has violations, or the root
+    fails to type, the shape falls back to checking its concrete
+    instances one by one, so every violation reported names a concrete
+    instance.
     """
+    result = SrSweepResult(0, 0, 0, [])
     p = principal_typing(shape, ctx)
     if p is None:
-        return SrSweepResult(0, 0, 0, [])
-    g = reduction_graph(annotate_shape(shape, p.binder_types), fuel)
-    result = SrSweepResult(len(g.edges), len(g.nodes), 0, [])
-    root_ty = _type_or_none(ctx, g.root)
-    if root_ty is None or any(_type_or_none(ctx, n) != root_ty for n in g.nodes):
-        _fallback_concrete(shape, p, ctx, enumerate_types(lgt_bound), fuel, result)
-    else:
-        result.complete = g.complete
-    return result
-
-
-def _type_or_none(ctx, t: Term):
+        return result
     try:
-        return infer(ctx, t)
+        report = check_subject_reduction(ctx, annotate_shape(shape, p.binder_types), fuel)
     except TypeCheckError:
-        return None
+        report = None
+    if report is not None:
+        result.edges, result.nodes = report.edges_checked, report.nodes_checked
+        if report.ok:
+            result.complete = report.complete
+            return result
+    _fallback_concrete(shape, p, ctx, enumerate_types(lgt_bound), fuel, result)
+    return result
 
 
 def _fallback_concrete(shape, p, ctx, universe, fuel, result) -> None:

@@ -429,22 +429,52 @@ def _finish(
     )
 
 
-def _shape_failures(
-    entry: corpus.ShapeEntry,
-    ctx: dict,
-    lgt_bound: int,
-    reason: str,
-    failures: list,
-) -> None:
-    """Materialize one failure entry per concrete instance of a failing
-    shape (expected never; capped to keep reports sane)."""
-    shape = parse_term(entry.text)
-    p = corpus.principal_typing(shape, ctx)
+def _sweep(suite: str, config: SuiteConfig, judge, catalog=()) -> LemmaReport:
+    """The corpus loop of thm8, sr and l4.  Each redex-bearing shape is
+    parsed and explored once (normal forms hold in every suite), then
+    judged: `judge(term, status, fail)` returns None when the term holds,
+    UNDECIDED when its instances leave the count, or a reason that fails
+    each of its concrete instances; `fail(term_text, reason)` records
+    one concrete failure found by the judge itself.  The `catalog` terms
+    (name, term) are judged the same way, each one instance."""
+    started = time.perf_counter()
+    ctx = config.context_dict
     ctx_str = print_context(ctx)
-    for inst in corpus.instances(shape, p, enumerate_types(lgt_bound)):
+    scan = shape_scan(ctx, config.max_cxty, config.lgt_bound)
+    failures: list[tuple[str, str, str]] = []
+    instances = scan.total_instances
+    max_eta = 0
+    max_nodes = 1 if scan.entries else 0
+
+    def fail(term_text: str, reason: str, where: str = ctx_str) -> None:
         if len(failures) >= _FAILURE_CAP:
             raise FailureFlood(f"suite produced over {_FAILURE_CAP} failures")
-        failures.append((print_term(inst), ctx_str, reason))
+        failures.append((term_text, where, reason))
+
+    for entry in scan.entries:
+        if entry.normal:
+            continue
+        shape = parse_term(entry.text)
+        st = explore_sn(shape, config.fuel)
+        if isinstance(st, StronglyNormalizing):
+            max_eta = max(max_eta, st.eta)
+            max_nodes = max(max_nodes, st.graph_nodes)
+        verdict = judge(shape, st, fail)
+        if verdict == UNDECIDED:
+            instances -= entry.instances
+        elif verdict is not None:
+            # expected never: one entry per concrete instance, capped
+            p = corpus.principal_typing(shape, ctx)
+            for inst in corpus.instances(shape, p, enumerate_types(config.lgt_bound)):
+                fail(print_term(inst), verdict)
+    for name, term in catalog:
+        verdict = judge(term, explore_sn(term, config.fuel), fail)
+        if verdict == UNDECIDED:
+            continue
+        instances += 1
+        if verdict is not None:
+            fail(print_term(term), verdict, f"catalog:{name}")
+    return _finish(suite, config, instances, failures, max_eta, max_nodes, started)
 
 
 # ---------------------------------------------------------------------------
@@ -456,32 +486,15 @@ def run_sn_suite(config: SuiteConfig) -> LemmaReport:
     zero NotSN, zero Unknown.  Verdicts are decided once per erased
     shape (reduction never reads annotations); instance counts are
     exact."""
-    started = time.perf_counter()
-    ctx = config.context_dict
-    scan = shape_scan(ctx, config.max_cxty, config.lgt_bound)
-    failures: list[tuple[str, str, str]] = []
-    max_eta = 0
-    max_nodes = 1 if scan.entries else 0
-    for entry in scan.entries:
-        if entry.normal:
-            continue
-        st = explore_sn(parse_term(entry.text), config.fuel)
-        if isinstance(st, StronglyNormalizing):
-            max_eta = max(max_eta, st.eta)
-            max_nodes = max(max_nodes, st.graph_nodes)
-        elif isinstance(st, NotSN):
-            _shape_failures(
-                entry, ctx, config.lgt_bound,
-                f"NotSN cycle_length={len(st.cycle)}", failures,
-            )
-        else:
-            _shape_failures(
-                entry, ctx, config.lgt_bound,
-                f"Unknown nodes_visited={st.nodes_visited}", failures,
-            )
-    return _finish(
-        "thm8", config, scan.total_instances, failures, max_eta, max_nodes, started
-    )
+
+    def judge(shape: Term, st, fail) -> Optional[str]:
+        if isinstance(st, NotSN):
+            return f"NotSN cycle_length={len(st.cycle)}"
+        if isinstance(st, Unknown):
+            return f"Unknown nodes_visited={st.nodes_visited}"
+        return None
+
+    return _sweep("thm8", config, judge)
 
 
 def run_subject_reduction_suite(config: SuiteConfig) -> LemmaReport:
@@ -489,34 +502,15 @@ def run_subject_reduction_suite(config: SuiteConfig) -> LemmaReport:
     instance, the inferred type must equal the root's type.  Checked
     symbolically per shape: one pass with metavariable annotations
     covers all annotation assignments."""
-    started = time.perf_counter()
     ctx = config.context_dict
-    scan = shape_scan(ctx, config.max_cxty, config.lgt_bound)
-    failures: list[tuple[str, str, str]] = []
-    ctx_str = print_context(ctx)
-    max_eta = 0
-    max_nodes = 1 if scan.entries else 0
-    for entry in scan.entries:
-        if entry.normal:
-            continue
-        shape = parse_term(entry.text)
+
+    def judge(shape: Term, st, fail) -> Optional[str]:
         res = corpus.sr_shape_sweep(shape, ctx, config.lgt_bound, config.fuel)
         for term_text, reason in res.violations:
-            if len(failures) >= _FAILURE_CAP:
-                raise FailureFlood(f"suite produced over {_FAILURE_CAP} failures")
-            failures.append((term_text, ctx_str, reason))
-        if not res.complete:
-            _shape_failures(
-                entry, ctx, config.lgt_bound,
-                f"Unknown nodes_visited={res.nodes}", failures,
-            )
-        st = explore_sn(shape, config.fuel)
-        if isinstance(st, StronglyNormalizing):
-            max_eta = max(max_eta, st.eta)
-            max_nodes = max(max_nodes, st.graph_nodes)
-    return _finish(
-        "sr", config, scan.total_instances, failures, max_eta, max_nodes, started
-    )
+            fail(term_text, reason)
+        return None if res.complete else f"Unknown nodes_visited={res.nodes}"
+
+    return _sweep("sr", config, judge)
 
 
 def non_sn_catalog() -> list[tuple[str, Term]]:
@@ -539,34 +533,14 @@ def run_decomposition_suite(config: SuiteConfig) -> LemmaReport:
     (shape-quotiented; all components are erasure-invariant) plus the
     committed catalog.  Undecided instances are excluded from pass/fail.
     """
-    started = time.perf_counter()
-    ctx = config.context_dict
-    scan = shape_scan(ctx, config.max_cxty, config.lgt_bound)
-    failures: list[tuple[str, str, str]] = []
-    instances = scan.total_instances
-    max_eta = 0
-    max_nodes = 1 if scan.entries else 0
-    for entry in scan.entries:
-        if entry.normal:
-            continue  # a normal form and its parts are normal: holds
-        shape = parse_term(entry.text)
-        res = check_sn_decomposition(shape, config.fuel)
-        st = explore_sn(shape, config.fuel)
-        if isinstance(st, StronglyNormalizing):
-            max_eta = max(max_eta, st.eta)
-            max_nodes = max(max_nodes, st.graph_nodes)
-        if res.status == UNDECIDED:
-            instances -= entry.instances
-        elif res.status == FAILS:
-            _shape_failures(entry, ctx, config.lgt_bound, res.detail, failures)
-    for name, term in non_sn_catalog():
+
+    def judge(term: Term, st, fail) -> Optional[str]:
         res = check_sn_decomposition(term, config.fuel)
-        if res.status == UNDECIDED:
-            continue
-        instances += 1
         if res.status == FAILS:
-            failures.append((print_term(term), f"catalog:{name}", res.detail))
-    return _finish("l4", config, instances, failures, max_eta, max_nodes, started)
+            return res.detail
+        return UNDECIDED if res.status == UNDECIDED else None
+
+    return _sweep("l4", config, judge, non_sn_catalog())
 
 
 # ---------------------------------------------------------------------------

@@ -188,17 +188,21 @@ class _Parser:
 
 
 def parse_term(text: str) -> Term:
-    """Parse a term; raises ParseError with a byte span on failure."""
-    p = _Parser(text)
-    t = p.term()
-    if p.peek().kind != "eof":
-        p.fail("unexpected trailing input")
-    return t
+    """Parse a term; raises ParseError with a byte span on failure,
+    also when the nesting is deeper than the recursion limit allows."""
+    return _parse(text, _Parser.term, "term")
 
 
 def parse_type(text: str) -> TypeExpr:
+    return _parse(text, _Parser.type_, "type")
+
+
+def _parse(text: str, rule, what: str):
     p = _Parser(text)
-    t = p.type_()
+    try:
+        t = rule(p)
+    except RecursionError:
+        p.fail(f"{what} nested too deeply")
     if p.peek().kind != "eof":
         p.fail("unexpected trailing input")
     return t

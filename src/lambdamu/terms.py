@@ -14,7 +14,7 @@ constructor; not-A is represented as ("->", A, "bot").
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 VAR = "var"
 LAM = "lam"
@@ -53,14 +53,6 @@ def neg(t: TypeExpr) -> TypeExpr:
     return (ARROW, t, BOT)
 
 
-def is_arrow(t: TypeExpr) -> bool:
-    return isinstance(t, tuple)
-
-
-def is_binder(t: Term) -> bool:
-    return t[0] == LAM or t[0] == MU
-
-
 def free_vars(t: Term) -> frozenset[str]:
     """The set of variables with a free occurrence in t."""
     tag = t[0]
@@ -92,17 +84,6 @@ def free_occurrences(t: Term, name: str) -> int:
     if t[1] == name:
         return 0
     return free_occurrences(t[3], name)
-
-
-def subterms(t: Term) -> Iterator[Term]:
-    """All subterms of t in pre-order, t itself included."""
-    yield t
-    tag = t[0]
-    if tag == APP:
-        yield from subterms(t[1])
-        yield from subterms(t[2])
-    elif tag != VAR:
-        yield from subterms(t[3])
 
 
 def fresh_name(base: str, avoid) -> str:

@@ -104,6 +104,31 @@ def test_sampler_without_inhabitants_is_a_usage_error():
     assert done.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["check", "sn"])
+def test_deep_input_is_a_parse_error(tmp_path, command):
+    # a fresh process at the default recursion limit: 900 nested
+    # parentheses through a file, and a chain of 3,000 binders
+    import lambdamu
+
+    src = str(Path(lambdamu.__file__).resolve().parent.parent)
+    if command == "check":
+        path = tmp_path / "deep.lmu"
+        path.write_text("(" * 900 + "v" + ")" * 900 + "\n")
+        argv = ["check", f"@{path}", "--context", "v:bot"]
+    else:
+        argv = ["sn", "".join(f"\\x{i}. " for i in range(3000)) + "x0"]
+    done = subprocess.run(
+        [sys.executable, "-m", "lambdamu.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("parse error: term nested too deeply")
+    assert done.stderr.count("\n") == 1
+
+
 def test_reduce_trace(capsys):
     code, out, _ = run(capsys, "reduce", MU_EXAMPLE, "--trace")
     assert code == 0

@@ -100,6 +100,16 @@ def test_subcontext_view_agrees_with_direct_scan():
     assert direct.total_instances == derived.total_instances
 
 
+def test_shape_entries_share_their_uses_sets():
+    # a context of k names has at most 2^k subsets of used names; a
+    # configuration no other test scans, so the scan is built here
+    ctx = {"v": BOT, "f": ("->", BOT, BOT)}
+    scan = shape_scan(ctx, 6, 1)
+    assert len(scan.entries) > 2 ** len(ctx)
+    assert len({id(e.uses) for e in scan.entries}) <= 2 ** len(ctx)
+    assert not hasattr(scan.entries[0], "__dict__")
+
+
 def test_principal_typing_and_assignments():
     shape = parse_term("\\b0. b0")
     p = principal_typing(shape, {})

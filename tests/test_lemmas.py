@@ -302,6 +302,19 @@ def test_l4_suite_includes_catalog():
     assert report.instances == sum(1 for _ in enumerate_well_typed(V_CTX, 5, 2)) + 4
 
 
+@pytest.mark.parametrize("fuel, decided", [(1, 11583), (2, 12763)])
+def test_l4_leaves_undecided_instances_out_of_the_count(fuel, decided):
+    # counted per instance, not per shape: the corpus instances and
+    # catalog terms whose decomposition check is decided at this fuel
+    terms = [t for t, _ in enumerate_well_typed(V_CTX, 6, 2)]
+    terms += [t for _, t in non_sn_catalog()]
+    statuses = [check_sn_decomposition(t, fuel).status for t in terms]
+    assert sum(s != UNDECIDED for s in statuses) == decided < len(terms)
+    report = run_suite("l4", SuiteConfig.make(V_CTX, max_cxty=6, fuel=fuel))
+    assert report.instances == decided
+    assert report.ok
+
+
 def test_seeded_suites_hold():
     for suite, n in (("l3", 120), ("l5", 120), ("l7", 40)):
         report = run_suite(suite, SMALL, samples=n)

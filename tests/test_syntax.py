@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given
 
@@ -93,6 +95,24 @@ def test_span_is_byte_based():
     with pytest.raises(ParseError) as err:
         parse_term("λx")
     assert err.value.span.start >= 2
+
+
+@pytest.mark.parametrize(
+    "parse, make",
+    [
+        (parse_term, lambda n: "(" * n + "x" + ")" * n),
+        (parse_type, lambda n: "(" * n + "bot" + ")" * n),
+    ],
+    ids=["term", "type"],
+)
+def test_nesting_past_the_recursion_limit_is_a_parse_error(parse, make):
+    text = make(sys.getrecursionlimit())
+    with pytest.raises(ParseError, match="nested too deeply") as err:
+        parse(text)
+    span = err.value.span
+    # the token the parser had reached when it ran out of stack
+    assert 0 < span.start < span.end <= len(text)
+    assert text[span.start] == "("
 
 
 def test_context_round_trip():
