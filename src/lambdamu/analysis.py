@@ -66,12 +66,12 @@ def reduction_graph(t: Term, fuel: int) -> ReductionGraph:
     if fuel < 1:
         raise ValueError("fuel must be at least 1")
     _headroom()
-    allowance = _work_allowance(fuel)
     root = canonical(t)
     nodes = {root}
     edges: set[tuple[Term, Term]] = set()
     frontier = [root]
     work = term_size(root)
+    allowance = _work_allowance(fuel, work)
     while frontier:
         level = []
         level_edges = []
@@ -97,13 +97,18 @@ _WHITE, _GREY, _BLACK = 0, 1, 2
 # would let them eat quadratic time before running out.  Exploration
 # therefore also carries a work allowance (total nodes of all terms
 # visited) proportional to fuel; exhausting either yields Unknown.
+# The allowance never falls below 40 times the root's own size, so a
+# large root still has room for its reducts.
 _WORK_PER_FUEL = 40
 _WORK_CAP = 4_000_000
 _RECURSION_FLOOR = 30000
 
 
-def _work_allowance(fuel: int) -> int:
-    return min(_WORK_PER_FUEL * max(fuel, 64), _WORK_CAP)
+def _work_allowance(fuel: int, root_size: int) -> int:
+    return min(
+        _WORK_PER_FUEL * max(fuel, 64, root_size),
+        max(_WORK_CAP, _WORK_PER_FUEL * root_size),
+    )
 
 
 def _headroom() -> None:
@@ -144,17 +149,20 @@ def explore_sn(t: Term, fuel: int) -> SnStatus:
 
 
 def _sorted_reducts(node: Term) -> list[Term]:
-    return sorted(one_step_reducts(node), key=print_term)
+    reducts = list(one_step_reducts(node))
+    if len(reducts) > 1:
+        reducts.sort(key=print_term)
+    return reducts
 
 
 def _explore(root: Term, fuel: int) -> SnStatus:
-    allowance = _work_allowance(fuel)
     color = {root: _GREY}
     eta: dict[Term, int] = {}
     reducts: dict[Term, list[Term]] = {root: _sorted_reducts(root)}
     stack: list[tuple[Term, int]] = [(root, 0)]
     visited = 1
     work = term_size(root)
+    allowance = _work_allowance(fuel, work)
     while stack:
         node, i = stack[-1]
         children = reducts[node]

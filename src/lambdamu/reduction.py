@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .syntax import print_term
 from .terms import (
@@ -116,63 +116,100 @@ def contract_redex(t: Term, avoid: Iterable[str] = ()) -> Term:
     return (MU, y, mu_annot, substitute(body, binder, wrapper))
 
 
+def _redexes(t: Term) -> Iterator[tuple[list[tuple[str, Term]], Term]]:
+    """Every redex of t in leftmost-outermost document order, as
+    (frames, redex).  `frames` holds one (step, node) pair per node on
+    the way from the root down to the redex: the node and the step taken
+    out of it.  The list is reused, so read it before drawing the next
+    redex.
+
+    An explicit stack, so spines of any depth are walked without
+    recursion.  Steps are recorded, never recovered by comparing
+    children: substitution can share one object between both sides of
+    an application."""
+    frames: list[tuple[str, Term]] = []
+    # (how many frames lead to the node's parent, the frame into the node, node)
+    todo: list[tuple[int, Optional[tuple[str, Term]], Term]] = [(0, None, t)]
+    while todo:
+        depth, frame, node = todo.pop()
+        del frames[depth:]
+        if frame is not None:
+            frames.append(frame)
+        tag = node[0]
+        if tag == APP:
+            fun, arg = node[1], node[2]
+            if fun[0] == LAM or fun[0] == MU:
+                yield frames, node
+            depth = len(frames)
+            if arg[0] != VAR:
+                todo.append((depth, ("arg", node), arg))
+            if fun[0] != VAR:
+                todo.append((depth, ("fun", node), fun))
+        elif tag != VAR and node[3][0] != VAR:
+            todo.append((len(frames), (tag, node), node[3]))
+
+
+def _contract_in(frames: list[tuple[str, Term]], redex: Term) -> Term:
+    """The whole term, with `redex` (reached through `frames`)
+    contracted; the binders above it are avoided by the fresh names of
+    the mu rule."""
+    binders = (node[1] for step, node in frames if step == LAM or step == MU)
+    t = contract_redex(redex, binders)
+    for step, node in reversed(frames):
+        if step == "fun":
+            t = (APP, t, node[2])
+        elif step == "arg":
+            t = (APP, node[1], t)
+        else:
+            t = (step, node[1], node[2], t)
+    return t
+
+
 def redex_positions(t: Term) -> list[Path]:
     """All redex positions in leftmost-outermost document order."""
-    out: list[Path] = []
-
-    def walk(t: Term, path: Path) -> None:
-        tag = t[0]
-        if tag == VAR:
-            return
-        if tag == APP:
-            if t[1][0] == LAM or t[1][0] == MU:
-                out.append(path)
-            walk(t[1], path + ("fun",))
-            walk(t[2], path + ("arg",))
-        else:
-            walk(t[3], path + ("lam" if tag == LAM else "mu",))
-
-    walk(t, ())
-    return out
+    return [tuple(step for step, _ in frames) for frames, _ in _redexes(t)]
 
 
 def is_normal_form(t: Term) -> bool:
-    tag = t[0]
-    if tag == VAR:
-        return True
-    if tag == APP:
-        if t[1][0] == LAM or t[1][0] == MU:
-            return False
-        return is_normal_form(t[1]) and is_normal_form(t[2])
-    return is_normal_form(t[3])
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        tag = t[0]
+        if tag == APP:
+            if t[1][0] == LAM or t[1][0] == MU:
+                return False
+            todo.append(t[2])
+            todo.append(t[1])
+        elif tag != VAR:
+            todo.append(t[3])
+    return True
 
 
 def reduce_at(t: Term, path: Path) -> Term:
     """Contract the redex addressed by `path`, leaving the rest untouched."""
-
-    def walk(t: Term, i: int, binders: tuple[str, ...]) -> Term:
-        if i == len(path):
-            if not is_redex(t):
-                raise InvalidPositionError(f"no redex at {'.'.join(path) or 'root'}")
-            return contract_redex(t, binders)
-        step = path[i]
+    frames = []
+    for i, step in enumerate(path):
         tag = t[0]
-        if step == "fun" and tag == APP:
-            return (APP, walk(t[1], i + 1, binders), t[2])
-        if step == "arg" and tag == APP:
-            return (APP, t[1], walk(t[2], i + 1, binders))
-        if step == "lam" and tag == LAM or step == "mu" and tag == MU:
-            return (tag, t[1], t[2], walk(t[3], i + 1, binders + (t[1],)))
-        raise InvalidPositionError(
-            f"step {step!r} does not match the term at {'.'.join(path[:i]) or 'root'}"
-        )
-
-    return walk(t, 0, ())
+        if tag == APP and step in ("fun", "arg"):
+            frames.append((step, t))
+            t = t[1] if step == "fun" else t[2]
+        elif tag == step and tag in (LAM, MU):
+            frames.append((step, t))
+            t = t[3]
+        else:
+            raise InvalidPositionError(
+                f"step {step!r} does not match the term at {'.'.join(path[:i]) or 'root'}"
+            )
+    if not is_redex(t):
+        raise InvalidPositionError(f"no redex at {'.'.join(path) or 'root'}")
+    return _contract_in(frames, t)
 
 
 def one_step_reducts(t: Term) -> set[Term]:
-    """Canonical forms of all one-step reducts; alpha-duplicates collapse."""
-    return {canonical(reduce_at(t, p)) for p in redex_positions(t)}
+    """Canonical forms of all one-step reducts; alpha-duplicates collapse.
+    One walk of t finds every redex; each reduct is rebuilt along the
+    path to its redex, so it shares every subterm off that path with t."""
+    return {canonical(_contract_in(frames, redex)) for frames, redex in _redexes(t)}
 
 
 def head_reduce(t: Term) -> Optional[Term]:

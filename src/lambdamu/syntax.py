@@ -243,7 +243,19 @@ def _print(t: Term, level: int) -> str:
     if tag == VAR:
         return t[1]
     if tag == APP:
-        s = f"{_print(t[1], 1)} {_print(t[2], 2)}"
+        fun = t[1]
+        if fun[0] == APP:
+            # a longer spine, in a loop: a function part that is itself
+            # an application never needs parentheses
+            parts = [_print(t[2], 2)]
+            while fun[0] == APP:
+                parts.append(_print(fun[2], 2))
+                fun = fun[1]
+            parts.append(_print(fun, 1))
+            parts.reverse()
+            s = " ".join(parts)
+        else:
+            s = f"{_print(fun, 1)} {_print(t[2], 2)}"
         return f"({s})" if level > 1 else s
     head = "\\" if tag == LAM else "mu "
     if t[2] is None:

@@ -149,7 +149,44 @@ def canonical(t: Term) -> Term:
     when their canonical forms are equal; annotations take part in the
     comparison.
     """
-    avoid = free_vars(t)
+    # One pass numbers the binders and collects the free names; only
+    # when a free name is one of the numbers handed out is the term
+    # renamed again around its free names.
+    free: set[str] = set()
+    count = 0
+
+    def walk(t: Term, env: dict[str, Term]) -> Term:
+        nonlocal count
+        tag = t[0]
+        if tag == VAR:
+            leaf = env.get(t[1])
+            if leaf is None:
+                free.add(t[1])
+                return t
+            return leaf
+        if tag == APP:
+            return (APP, walk(t[1], env), walk(t[2], env))
+        binder = t[1]
+        leaf = (VAR, "x%d" % count)
+        count += 1
+        outer = env.get(binder)
+        env[binder] = leaf
+        body = walk(t[3], env)
+        if outer is None:
+            del env[binder]
+        else:
+            env[binder] = outer
+        return (tag, leaf[1], t[2], body)
+
+    out = walk(t, {})
+    if any(name.startswith("x") for name in free):
+        if not free.isdisjoint("x%d" % i for i in range(count)):
+            return _canonical_avoiding(t, free)
+    return out
+
+
+def _canonical_avoiding(t: Term, avoid: set[str]) -> Term:
+    """canonical(t) when `avoid` holds the free names of t."""
     counter = [0]
 
     def next_name() -> str:

@@ -48,43 +48,82 @@ def connective_count(t: TypeExpr) -> int:
 
 def infer(ctx: Mapping[str, TypeExpr], t: Term) -> TypeExpr:
     """The unique type derivable for t under ctx; raises TypeCheckError."""
-    return _infer(dict(ctx), t, ())
+    try:
+        return _infer(dict(ctx), t)
+    except _Untypable as err:
+        path = tuple(step for steps in reversed(err.steps) for step in steps)
+        raise TypeCheckError(err.kind, path, err.detail) from None
 
 
-def _infer(ctx: Context, t: Term, path: tuple[str, ...]) -> TypeExpr:
+class _Untypable(Exception):
+    """A failing rule inside `_infer`.  `steps` collects the path to the
+    failure on the way out, innermost part first, so that no path is
+    built while typing succeeds."""
+
+    def __init__(self, kind: str, detail: str, at: tuple[str, ...] = ()):
+        self.kind = kind
+        self.detail = detail
+        self.steps = [at]
+
+
+def _infer(ctx: Context, t: Term) -> TypeExpr:
     tag = t[0]
     if tag == VAR:
         ty = ctx.get(t[1])
         if ty is None:
-            raise TypeCheckError(UNBOUND_VARIABLE, path, f"variable {t[1]!r} not in context")
+            raise _Untypable(UNBOUND_VARIABLE, f"variable {t[1]!r} not in context")
         return ty
     if tag == APP:
-        fun_ty = _infer(ctx, t[1], path + ("fun",))
-        # bot, or a metavariable when the annotations come from a principal typing
-        if fun_ty[0] != ARROW:
-            raise TypeCheckError(
-                NOT_AN_ARROW, path, f"function part has type {format_type(fun_ty)}"
-            )
-        arg_ty = _infer(ctx, t[2], path + ("arg",))
-        if arg_ty != fun_ty[1]:
-            raise TypeCheckError(
-                ARGUMENT_MISMATCH,
-                path,
-                f"expected {format_type(fun_ty[1])}, argument has {format_type(arg_ty)}",
-            )
-        return fun_ty[2]
+        # the application spine in a loop, innermost argument last; an
+        # argument still on the list after a pop sits at path fun^len(args)
+        args = [t[2]]
+        t = t[1]
+        while t[0] == APP:
+            args.append(t[2])
+            t = t[1]
+        try:
+            ty = _infer(ctx, t)
+        except _Untypable as err:
+            err.steps.append(("fun",) * len(args))
+            raise
+        while args:
+            arg = args.pop()
+            # bot, or a metavariable when the annotations come from a principal typing
+            if ty[0] != ARROW:
+                raise _Untypable(
+                    NOT_AN_ARROW, f"function part has type {format_type(ty)}", ("fun",) * len(args)
+                )
+            try:
+                arg_ty = _infer(ctx, arg)
+            except _Untypable as err:
+                err.steps.append(("fun",) * len(args) + ("arg",))
+                raise
+            if arg_ty != ty[1]:
+                raise _Untypable(
+                    ARGUMENT_MISMATCH,
+                    f"expected {format_type(ty[1])}, argument has {format_type(arg_ty)}",
+                    ("fun",) * len(args),
+                )
+            ty = ty[2]
+        return ty
     name, annot, body = t[1], t[2], t[3]
     if annot is None:
-        raise TypeCheckError(UNANNOTATED_BINDER, path, f"binder {name!r} has no annotation")
+        raise _Untypable(UNANNOTATED_BINDER, f"binder {name!r} has no annotation")
     if tag == LAM:
-        body_ty = _infer({**ctx, name: annot}, body, path + ("lam",))
+        try:
+            body_ty = _infer({**ctx, name: annot}, body)
+        except _Untypable as err:
+            err.steps.append((LAM,))
+            raise
         return (ARROW, annot, body_ty)
     # mu: the annotation is the result type, the binder stands for its negation
-    body_ty = _infer({**ctx, name: (ARROW, annot, BOT)}, body, path + ("mu",))
+    try:
+        body_ty = _infer({**ctx, name: (ARROW, annot, BOT)}, body)
+    except _Untypable as err:
+        err.steps.append((MU,))
+        raise
     if body_ty != BOT:
-        raise TypeCheckError(
-            MU_BODY_NOT_BOT, path, f"mu body has type {format_type(body_ty)}"
-        )
+        raise _Untypable(MU_BODY_NOT_BOT, f"mu body has type {format_type(body_ty)}")
     return annot
 
 
@@ -96,7 +135,7 @@ def derivation_lines(ctx: Mapping[str, TypeExpr], t: Term) -> list[str]:
     lines: list[str] = []
 
     def walk(ctx: Context, t: Term, depth: int) -> None:
-        ty = _infer(ctx, t, ())
+        ty = infer(ctx, t)
         ctx_str = print_context(ctx)
         turnstile = f"{ctx_str} |- " if ctx_str else "|- "
         lines.append(

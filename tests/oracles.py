@@ -1,16 +1,17 @@
 """Independent oracles the implementation is checked against.
 
 These deliberately avoid the production code paths they validate:
-brute_eta does an explicit path search with no memoization, and
+brute_eta does an explicit path search with no memoization,
 all_annotated_trees generates every tree and filters by the type
-checker instead of enumerating goal-directed.
+checker instead of enumerating goal-directed, and two_pass_canonical
+collects the free names before it renames a single binder.
 """
 
 from __future__ import annotations
 
 from lambdamu.corpus import enumerate_types
 from lambdamu.reduction import one_step_reducts
-from lambdamu.terms import APP, LAM, MU, VAR
+from lambdamu.terms import APP, LAM, MU, VAR, free_vars
 from lambdamu.typecheck import TypeCheckError, infer
 
 
@@ -72,3 +73,29 @@ def generate_and_filter(ctx: dict, goal, max_cxty: int, lgt_bound: int):
             except TypeCheckError:
                 pass
     return out
+
+
+def two_pass_canonical(t):
+    """canonical(t) in two passes: first the free names, then the binders
+    renamed x0, x1, ... in pre-order, skipping every free name."""
+    avoid = free_vars(t)
+    counter = [0]
+
+    def next_name() -> str:
+        while True:
+            name = "x%d" % counter[0]
+            counter[0] += 1
+            if name not in avoid:
+                return name
+
+    def walk(t, env):
+        tag = t[0]
+        if tag == VAR:
+            name = t[1]
+            return (VAR, env.get(name, name))
+        if tag == APP:
+            return (APP, walk(t[1], env), walk(t[2], env))
+        name = next_name()
+        return (tag, name, t[2], walk(t[3], {**env, t[1]: name}))
+
+    return walk(t, {})

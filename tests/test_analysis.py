@@ -81,6 +81,16 @@ def test_fuel_exhaustion_is_unknown():
     assert isinstance(st, Unknown)
 
 
+def test_root_larger_than_the_fuel_allowance_is_decided():
+    # the root alone has 2,802 nodes, more than 40 x max(fuel, 64): the
+    # work allowance grows with the root, so its one reduct still fits
+    t = parse_term("(\\x. x) (" + " ".join(["v"] * 1400) + ")")
+    for fuel in (10, 100):
+        assert explore_sn(t, fuel) == StronglyNormalizing(1, 2)
+        g = reduction_graph(t, fuel)
+        assert g.complete and len(g.nodes) == 2 and len(g.edges) == 1
+
+
 def test_explore_alpha_stable():
     a = parse_term("(\\x. x x) (\\y. y y)")
     b = parse_term("(\\u. u u) (\\v. v v)")

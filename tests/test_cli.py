@@ -129,6 +129,50 @@ def test_deep_input_is_a_parse_error(tmp_path, command):
     assert done.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["check", "--context", "v:bot"], 1),
+        (["reduce"], 0),
+        (["reduce", "--trace"], 0),
+    ],
+    ids=["check", "reduce", "reduce-trace"],
+)
+def test_long_application_spine_in_a_fresh_process(tmp_path, argv, code):
+    # a fresh process at the default recursion limit: the parser reads a
+    # spine in a loop, and so must the type checker, the reducer and the
+    # printer
+    import lambdamu
+
+    src = str(Path(lambdamu.__file__).resolve().parent.parent)
+    path = tmp_path / "spine.lmu"
+    path.write_text("(\\x. x) " + " ".join(["v"] * 3000) + "\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "lambdamu.cli", argv[0], f"@{path}", *argv[1:]],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == code, done.stderr[-500:]
+    if code:
+        path_text = ".".join(["fun"] * 3000)
+        expected = f"type error: unannotated-binder at {path_text}: binder 'x' has no annotation\n"
+        assert done.stderr == expected
+    else:
+        normal_form = " ".join(["v"] * 3000)
+        lines = done.stdout.splitlines()
+        assert lines[-1] == normal_form
+        if "--trace" in argv:
+            assert lines[:-1] == ["\t".join(["0", ".".join(["fun"] * 2999), normal_form])]
+
+
+def test_sn_on_a_root_larger_than_the_fuel_allowance(capsys):
+    term = "(\\x. x) (" + " ".join(["v"] * 1400) + ")"
+    code, out, _ = run(capsys, "sn", term, "--fuel", "10")
+    assert code == 0 and out == "SN eta=1 nodes=2\n"
+
+
 def test_reduce_trace(capsys):
     code, out, _ = run(capsys, "reduce", MU_EXAMPLE, "--trace")
     assert code == 0

@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
@@ -18,7 +21,10 @@ from lambdamu.reduction import (
     reduce_at,
     reduce_with_strategy,
 )
-from lambdamu.syntax import parse_term
+from lambdamu.analysis import reduction_graph
+from lambdamu.corpus import shape_scan
+from lambdamu.lemmas import non_sn_catalog
+from lambdamu.syntax import parse_term, print_term
 from lambdamu.terms import (
     alpha_eq,
     app,
@@ -248,3 +254,47 @@ def test_trace_format():
 @settings(max_examples=60)
 def test_normal_form_iff_no_positions(t):
     assert is_normal_form(t) == (not redex_positions(t))
+
+
+def test_a_shared_subterm_is_reduced_by_position():
+    # substitution puts one object on both sides of an application
+    t = reduce_at(parse_term("(\\x. x x) ((\\y. y) z)"), ())
+    assert t[1] is t[2]
+    assert redex_positions(t) == [("fun",), ("arg",)]
+    assert reduce_at(t, ("arg",)) == app(t[1], var("z"))
+    assert one_step_reducts(t) == {
+        canonical(app(var("z"), t[2])),
+        canonical(app(t[1], var("z"))),
+    }
+
+
+def _oracle_graph_roots(gen):
+    """(root, fuel): the redex-bearing shapes of size <= 7 at {v:bot}
+    and {}, the first 60 terms of the benchmark's `terms` round, the
+    catalog's loops, and the catalog's grower cut at 300 nodes."""
+    for ctx in ({"v": "bot"}, {}):
+        for entry in shape_scan(ctx, 7, 2).entries:
+            if not entry.normal:
+                yield parse_term(entry.text), 1000
+    for item in gen.typed_terms(1)[:60]:
+        yield parse_term(item.text), 1000
+    for name, term in non_sn_catalog():
+        yield term, 300 if name == "grower" else 1000
+
+
+def test_one_step_reducts_agree_with_the_benchmark_reducer():
+    # bench/reducer.py is written apart from the program, on de Bruijn
+    # terms; it reads the program's printed terms
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    try:
+        import gen
+        import reducer
+    finally:
+        sys.path.pop(0)
+    nodes = set()
+    for root, fuel in _oracle_graph_roots(gen):
+        nodes |= reduction_graph(root, fuel).nodes
+    assert len(nodes) > 2000
+    for node in nodes:
+        ours = {reducer.parse(print_term(r)) for r in one_step_reducts(node)}
+        assert ours == reducer.reducts(reducer.parse(print_term(node))), print_term(node)

@@ -1,6 +1,7 @@
-from hypothesis import given
+import hypothesis.strategies as st
+from hypothesis import given, settings
 
-from conftest import names, terms
+from conftest import annots, names, terms
 from lambdamu.terms import (
     alpha_eq,
     app,
@@ -16,6 +17,7 @@ from lambdamu.terms import (
     term_size,
     var,
 )
+from oracles import two_pass_canonical
 
 
 def test_free_vars_examples():
@@ -112,6 +114,34 @@ def test_canonical_is_idempotent_and_alpha_invariant(m):
     c = canonical(m)
     assert canonical(c) == c
     assert alpha_eq(m, c)
+
+
+# free names that canonical's own numbering hands out to binders
+numbered_names = st.sampled_from(["x0", "x1", "x2", "x", "a", "b"])
+
+numbered_terms = st.recursive(
+    st.builds(var, numbered_names),
+    lambda inner: st.one_of(
+        st.builds(lam, numbered_names, annots, inner),
+        st.builds(mu, numbered_names, annots, inner),
+        st.builds(app, inner, inner),
+    ),
+    max_leaves=10,
+)
+
+
+def test_canonical_skips_free_numbered_names():
+    assert canonical(lam("a", None, app(var("x0"), var("a")))) == lam(
+        "x1", None, app(var("x0"), var("x1"))
+    )
+    got = canonical(lam("a", None, mu("b", None, app(var("x1"), var("b")))))
+    assert got == lam("x0", None, mu("x2", None, app(var("x1"), var("x2"))))
+
+
+@given(numbered_terms)
+@settings(max_examples=500)
+def test_canonical_matches_the_two_pass_renaming(m):
+    assert canonical(m) == two_pass_canonical(m)
 
 
 @given(terms, terms)

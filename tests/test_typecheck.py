@@ -39,17 +39,26 @@ def test_infer_mu_application():
 
 
 def test_error_kinds():
+    f = {"f": parse_type("bot->bot->bot"), "v": parse_type("bot")}
     cases = [
-        ("\\x. x", {}, "unannotated-binder"),
-        ("x", {}, "unbound-variable"),
-        ("x y", {"x": parse_type("bot"), "y": parse_type("bot")}, "not-an-arrow"),
-        ("x y", {"x": parse_type("(bot->bot)->bot"), "y": parse_type("bot")}, "argument-mismatch"),
-        ("mu x:bot. x", {}, "mu-body-not-bot"),
+        ("\\x. x", {}, "unannotated-binder", ()),
+        ("x", {}, "unbound-variable", ()),
+        ("x y", {"x": parse_type("bot"), "y": parse_type("bot")}, "not-an-arrow", ()),
+        ("x y", {"x": parse_type("(bot->bot)->bot"), "y": parse_type("bot")}, "argument-mismatch", ()),
+        ("mu x:bot. x", {}, "mu-body-not-bot", ()),
+        # the path to a failure on an application spine
+        ("v v v", f, "not-an-arrow", ("fun",)),
+        ("f v (\\x. x) v", f, "unannotated-binder", ("fun", "arg")),
+        ("f (f v v) u v", f, "unbound-variable", ("fun", "arg")),
+        ("f v (f v) v", f, "argument-mismatch", ("fun",)),
+        ("\\y:bot. mu k:bot. k (f y y y)", f, "not-an-arrow", ("lam", "mu", "arg")),
+        ("(\\y:bot. y) v v", f, "not-an-arrow", ()),
+        ("(\\y. y) v v", f, "unannotated-binder", ("fun", "fun")),
     ]
-    for text, ctx, kind in cases:
+    for text, ctx, kind, path in cases:
         with pytest.raises(TypeCheckError) as err:
             infer(ctx, parse_term(text))
-        assert err.value.kind == kind, text
+        assert (err.value.kind, err.value.path) == (kind, path), text
 
 
 def test_shadowing():
