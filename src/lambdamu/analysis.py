@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 from .reduction import is_normal_form, one_step_reducts
 from .syntax import print_term
-from .terms import Term, canonical, term_size
+from .terms import APP, LAM, MU, VAR, Term, canonical, term_size
 
 
 @dataclass(frozen=True)
@@ -117,8 +117,11 @@ def _headroom() -> None:
         sys.setrecursionlimit(_RECURSION_FLOOR)
 
 
-# Verdicts are pure in (canonical term, fuel); the cache only re-serves them.
-_sn_cache: dict[tuple[Term, int], SnStatus] = {}
+# Verdicts are pure in (canonical term, fuel); the cache only re-serves
+# them, each with the work total of its search.  It holds searched
+# verdicts only: a composed verdict is never stored, so what the cache
+# serves never depends on `_compose`.
+_sn_cache: dict[tuple[Term, int], tuple[SnStatus, int]] = {}
 _SN_CACHE_LIMIT = 1 << 21
 
 
@@ -127,25 +130,124 @@ def clear_sn_cache() -> None:
 
 
 def explore_sn(t: Term, fuel: int) -> SnStatus:
-    """Depth-first exploration with on-stack cycle detection.
+    """The verdict on t at a node fuel.
 
-    Sound by construction: StronglyNormalizing only for a completely
-    explored acyclic graph, NotSN only with a verified cycle witness.
+    A variable-headed term is decided from its arguments' graphs when
+    that gives the same verdict as search (`_compose`); every other term
+    by depth-first exploration with on-stack cycle detection.  Sound by
+    construction: StronglyNormalizing only for a completely explored (or
+    composed) acyclic graph, NotSN only with a verified cycle witness.
     """
-    if fuel < 1:
-        raise ValueError("fuel must be at least 1")
-    _headroom()
-    root = canonical(t)
+    root = _root(t, fuel)
     if is_normal_form(root):
         return StronglyNormalizing(0, 1)
     key = (root, fuel)
-    hit = _sn_cache.get(key)
-    if hit is not None:
-        return hit
-    status = _explore(root, fuel)
+    found = _sn_cache.get(key)
+    if found is None:
+        found = _compose(root, fuel)
+        if found is None:
+            found = _search(key)
+    return found[0]
+
+
+def _search_sn(t: Term, fuel: int) -> SnStatus:
+    """explore_sn without composition: the verdict of a search of t's
+    whole graph, for checks that compare it with the verdicts of parts."""
+    root = _root(t, fuel)
+    if is_normal_form(root):
+        return StronglyNormalizing(0, 1)
+    key = (root, fuel)
+    return (_sn_cache.get(key) or _search(key))[0]
+
+
+def _root(t: Term, fuel: int) -> Term:
+    if fuel < 1:
+        raise ValueError("fuel must be at least 1")
+    _headroom()
+    return canonical(t)
+
+
+def _search(key: tuple[Term, int]) -> tuple[SnStatus, int]:
+    """Explore a canonical, non-normal root at a fuel, and cache the
+    verdict with its work total."""
+    found = _explore(*key)
     if len(_sn_cache) < _SN_CACHE_LIMIT:
-        _sn_cache[key] = status
-    return status
+        _sn_cache[key] = found
+    return found
+
+
+def _compose(root: Term, fuel: int) -> Optional[tuple[StronglyNormalizing, int]]:
+    """The verdict on a variable-headed root, and the work total its
+    search would reach, from the graphs of its arguments; None when
+    search must decide it.
+
+    The one-step reducts of \\x1...xk. y M1 ... Mn are exactly the terms
+    with one Mi reduced, so its alpha-quotiented graph is the product of
+    the Mi's: nodes = prod N_i, eta = sum eta_i, and work = c * prod N_i
+    + sum_i W_i * prod_{j != i} N_j, where c = k + 1 + n counts the
+    term's own binders, head and applications.  A variable-headed
+    argument (a normal form among them) is decomposed the same way; a
+    redex-headed one, a leaf, is searched through the cache.
+
+    None, so that the search decides, when there are fewer than two
+    leaves (the graph is then a copy of the one leaf's, and composing
+    would search it twice when it diverges), when a leaf is not SN, or
+    when the nodes pass the fuel or the work passes the allowance.  When
+    the verdict is composed, the search would have completed with the
+    same eta and nodes: it visits every node once, within both bounds.
+    """
+    # the parts in pre-order: (c, n) for a variable-headed part with n
+    # arguments, None for a leaf; explicit stacks, no recursion
+    parts: list[Optional[tuple[int, int]]] = []
+    leaves: list[Term] = []
+    todo = [root]
+    while todo:
+        part = t = todo.pop()
+        c = 1
+        while t[0] == LAM or t[0] == MU:
+            c += 1
+            t = t[3]
+        head = t
+        while head[0] == APP:
+            head = head[1]
+        if head[0] != VAR:
+            parts.append(None)
+            leaves.append(part)
+            continue
+        n = 0
+        while t[0] == APP:
+            todo.append(t[2])
+            t = t[1]
+            n += 1
+        parts.append((c + n, n))
+    if len(leaves) < 2:
+        return None
+    verdicts = []
+    for leaf in leaves:
+        key = (canonical(leaf), fuel)
+        found = _sn_cache.get(key) or _search(key)
+        if not isinstance(found[0], StronglyNormalizing):
+            return None
+        verdicts.append(found)
+    # fold the parts bottom-up: (nodes, eta, work) of each finished part
+    done: list[tuple[int, int, int]] = []
+    for part in reversed(parts):
+        if part is None:
+            status, work = verdicts.pop()
+            done.append((status.graph_nodes, status.eta, work))
+            continue
+        c, n = part
+        nodes, eta, work = 1, 0, 0
+        for _ in range(n):
+            n_i, eta_i, work_i = done.pop()
+            work = work * n_i + work_i * nodes
+            nodes *= n_i
+            eta += eta_i
+        done.append((nodes, eta, work + c * nodes))
+    ((nodes, eta, work),) = done
+    if nodes > fuel or work > _work_allowance(fuel, term_size(root)):
+        return None
+    return StronglyNormalizing(eta, nodes), work
 
 
 def _sorted_reducts(node: Term) -> list[Term]:
@@ -155,7 +257,9 @@ def _sorted_reducts(node: Term) -> list[Term]:
     return reducts
 
 
-def _explore(root: Term, fuel: int) -> SnStatus:
+def _explore(root: Term, fuel: int) -> tuple[SnStatus, int]:
+    """The depth-first search, and the total size of the nodes it
+    visited."""
     color = {root: _GREY}
     eta: dict[Term, int] = {}
     reducts: dict[Term, list[Term]] = {root: _sorted_reducts(root)}
@@ -182,15 +286,15 @@ def _explore(root: Term, fuel: int) -> SnStatus:
             for n, _ in stack:
                 if cycle or n == child:
                     cycle.append(n)
-            return NotSN(tuple(cycle))
+            return NotSN(tuple(cycle)), work
         work += term_size(child)
         if visited + 1 > fuel or work > allowance:
-            return Unknown(visited)
+            return Unknown(visited), work
         visited += 1
         color[child] = _GREY
         reducts[child] = _sorted_reducts(child)
         stack.append((child, 0))
-    return StronglyNormalizing(eta[root], len(color))
+    return StronglyNormalizing(eta[root], len(color)), work
 
 
 def longest_reduction(t: Term, fuel: int) -> Union[int, NotSN, Unknown]:

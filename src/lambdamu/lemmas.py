@@ -29,6 +29,7 @@ from .analysis import (
     NotSN,
     StronglyNormalizing,
     Unknown,
+    _search_sn,
     explore_sn,
 )
 from .corpus import (
@@ -255,8 +256,11 @@ def check_arg_substitution_inclusion(term: Term, x: str, n: Term) -> CheckResult
 def check_sn_decomposition(term: Term, fuel: int) -> CheckResult:
     """SN(M) must agree with: all argument parts SN and the head reduct
     SN (a missing head reduct counts as SN).  An Unknown verdict anywhere
-    makes the whole instance undecided."""
-    st = explore_sn(term, fuel)
+    makes the whole instance undecided.  SN(M) comes from a search of
+    M's whole graph, never from `explore_sn`'s composition of its
+    arguments' verdicts, which would make the check compare the
+    composition with itself."""
+    st = _search_sn(term, fuel)
     if isinstance(st, Unknown):
         return CheckResult(UNDECIDED, "term verdict unknown")
     rhs = True

@@ -66,12 +66,18 @@ def free_vars(t: Term) -> frozenset[str]:
 
 def term_size(t: Term) -> int:
     """Number of AST nodes (every var, lam, mu and app node counts 1)."""
+    # a loop down spines and binder chains; only arguments recurse
+    n = 1
     tag = t[0]
-    if tag == VAR:
-        return 1
-    if tag == APP:
-        return 1 + term_size(t[1]) + term_size(t[2])
-    return 1 + term_size(t[3])
+    while tag != VAR:
+        if tag == APP:
+            n += 1 + term_size(t[2])
+            t = t[1]
+        else:
+            n += 1
+            t = t[3]
+        tag = t[0]
+    return n
 
 
 def free_occurrences(t: Term, name: str) -> int:
@@ -141,6 +147,11 @@ def _subst(t: Term, subs: dict[str, Term]) -> Term:
     return (tag, binder, annot, _subst(body, live))
 
 
+# The variables x0, x1, ... that canonical forms bind, made once and
+# shared by every canonical form.
+_NUMBERED: list[Term] = []
+
+
 def canonical(t: Term) -> Term:
     """The canonical representative of t's alpha-equivalence class.
 
@@ -165,9 +176,25 @@ def canonical(t: Term) -> Term:
                 return t
             return leaf
         if tag == APP:
-            return (APP, walk(t[1], env), walk(t[2], env))
+            fun = t[1]
+            if fun[0] != APP:
+                return (APP, walk(fun, env), walk(t[2], env))
+            head = fun[1]
+            if head[0] != APP:  # two arguments: the common spine
+                return (APP, (APP, walk(head, env), walk(fun[2], env)), walk(t[2], env))
+            # a longer spine: a loop, head first, so its length never recurses
+            args = [t[2], fun[2]]
+            while head[0] == APP:
+                args.append(head[2])
+                head = head[1]
+            out = walk(head, env)
+            for arg in reversed(args):
+                out = (APP, out, walk(arg, env))
+            return out
         binder = t[1]
-        leaf = (VAR, "x%d" % count)
+        if count == len(_NUMBERED):
+            _NUMBERED.append((VAR, "x%d" % count))
+        leaf = _NUMBERED[count]
         count += 1
         outer = env.get(binder)
         env[binder] = leaf
@@ -202,7 +229,14 @@ def _canonical_avoiding(t: Term, avoid: set[str]) -> Term:
             name = t[1]
             return (VAR, env.get(name, name))
         if tag == APP:
-            return (APP, walk(t[1], env), walk(t[2], env))
+            args = []
+            while t[0] == APP:
+                args.append(t[2])
+                t = t[1]
+            out = walk(t, env)
+            for arg in reversed(args):
+                out = (APP, out, walk(arg, env))
+            return out
         name = next_name()
         return (tag, name, t[2], walk(t[3], {**env, t[1]: name}))
 

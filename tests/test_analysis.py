@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import terms
+from lambdamu import analysis
 from lambdamu.analysis import (
     NotSN,
     StronglyNormalizing,
@@ -16,8 +17,9 @@ from lambdamu.analysis import (
     longest_reduction,
     reduction_graph,
 )
-from lambdamu.reduction import one_step_reducts
-from lambdamu.syntax import parse_term
+from lambdamu.lemmas import non_sn_catalog
+from lambdamu.reduction import is_normal_form, one_step_reducts
+from lambdamu.syntax import parse_term, print_term
 from lambdamu.terms import canonical, term_size, var
 from oracles import brute_eta, brute_longest_path
 
@@ -189,3 +191,123 @@ def test_deep_binder_chain_in_a_fresh_process():
     )
     assert done.returncode == 0, done.stderr[-500:]
     assert done.stdout == "StronglyNormalizing(eta=1, graph_nodes=2)\n"
+
+
+# ---- composition of variable-headed terms ---------------------------------
+
+FUEL = 100_000
+
+
+def _bench_gen():
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    try:
+        import gen
+    finally:
+        sys.path.pop(0)
+    return gen
+
+
+def _assert_same_as_search(t, fuel):
+    """explore_sn(t, fuel), checked against the plain explorer run with
+    no cache and no composition."""
+    got = explore_sn(t, fuel)
+    root = canonical(t)
+    want = StronglyNormalizing(0, 1) if is_normal_form(root) else analysis._explore(root, fuel)[0]
+    assert repr(got) == repr(want), print_term(t)
+    return got
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_composition_matches_search_on_a_terms_round(seed):
+    # as the benchmark runs it: one cache for the whole round
+    analysis.clear_sn_cache()
+    for item in _bench_gen().typed_terms(seed):
+        t = parse_term(item.text)
+        assert analysis._compose(canonical(t), FUEL) is not None, print_term(t)
+        assert isinstance(_assert_same_as_search(t, FUEL), StronglyNormalizing)
+
+
+def test_composed_work_is_the_total_size_of_the_graph():
+    analysis.clear_sn_cache()
+    for item in _bench_gen().typed_terms(1):
+        t = parse_term(item.text)
+        status, work = analysis._compose(canonical(t), FUEL)
+        g = reduction_graph(t, FUEL)
+        assert status.graph_nodes == len(g.nodes)
+        assert work == sum(term_size(n) for n in g.nodes), item.text
+
+
+def test_composition_falls_back_on_the_catalog_and_loop_variants():
+    # the grower at fuel 2,000, where its search costs well under a second
+    analysis.clear_sn_cache()
+    for _, term in non_sn_catalog():
+        assert not isinstance(_assert_same_as_search(term, 2000), StronglyNormalizing)
+    gen = _bench_gen()
+    catalog = [(p.stem, p.read_text(encoding="utf-8")) for p in _catalog_files()]
+    loops = [d for d in gen.divergent_terms(1, catalog) if d.loops]
+    assert len(loops) > 10
+    for d in loops:
+        assert isinstance(_assert_same_as_search(parse_term(d.text), d.fuel), NotSN)
+
+
+def _catalog_files():
+    import lambdamu
+
+    return sorted((Path(lambdamu.__file__).parent / "catalog").glob("*.lmu"))
+
+
+def test_a_product_over_the_fuel_is_the_explorers_unknown():
+    # two components of 3 nodes each: 9 > fuel >= 3
+    t = parse_term("f ((\\x. x) ((\\x. x) v)) ((\\x. x) ((\\x. x) w))")
+    for fuel in (3, 8):
+        assert analysis._compose(canonical(t), fuel) is None
+        assert _assert_same_as_search(t, fuel) == Unknown(fuel)
+    assert analysis._compose(canonical(t), 9) == (StronglyNormalizing(4, 9), 99)
+    assert _assert_same_as_search(t, 9) == StronglyNormalizing(4, 9)
+
+
+def test_a_product_past_the_work_allowance_is_the_explorers_unknown():
+    # 100 nodes of over 80 AST nodes each: within fuel 200, but past its
+    # work allowance of 8,000
+    gen = _bench_gen()
+    pad = "g (" * 30 + "v" + ")" * 30
+    t = parse_term(f"f ({pad}) ({gen.chain_text('M2', 'v')}) ({gen.chain_text('M2', 'w')})")
+    assert analysis._compose(canonical(t), 200) is None
+    assert _assert_same_as_search(t, 200) == Unknown(90)
+    assert analysis._compose(canonical(t), 300) == (StronglyNormalizing(10, 100), 8860)
+    assert _assert_same_as_search(t, 300) == StronglyNormalizing(10, 100)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # nested variable heads under lambda and mu binders
+        "\\a. mu b. f (g (\\c. h ((\\x. x) c) ((\\x. x) ((\\y. y) a)))) ((\\y. b y) b)",
+        "mu q. q (\\u. f (u ((\\x. x) v)) (\\w. g ((mu k. k w) v)))",
+        # annotated binders, a mu redex among the leaves
+        "\\a:bot. f ((\\x:bot. x) a) ((mu k:(bot->bot). k (\\y:bot. y)) a)",
+        # a leaf with the free name x0 once the root is canonical: its
+        # own canonical form takes the renaming that avoids x0
+        "\\a. f ((\\x. x) a) ((\\x. x a) a)",
+    ],
+)
+def test_composition_matches_search_on_nested_heads(text):
+    t = parse_term(text)
+    analysis.clear_sn_cache()
+    assert analysis._compose(canonical(t), FUEL) is not None
+    assert isinstance(_assert_same_as_search(t, FUEL), StronglyNormalizing)
+
+
+def test_a_leaf_with_a_free_x0_is_renamed_around_it():
+    root = canonical(parse_term("\\a. f ((\\x. x) a) ((\\x. x a) a)"))
+    leaf = root[3][1][2]
+    assert print_term(leaf) == "(\\x1. x1) x0"
+    assert print_term(canonical(leaf)) == "(\\x1. x1) x0"
+
+
+def test_a_not_sn_leaf_next_to_an_sn_leaf():
+    t = parse_term("f ((\\x. x) v) ((\\x. x x) (\\x. x x))")
+    analysis.clear_sn_cache()
+    assert analysis._compose(canonical(t), FUEL) is None
+    st = _assert_same_as_search(t, FUEL)
+    assert isinstance(st, NotSN)

@@ -167,6 +167,37 @@ def test_long_application_spine_in_a_fresh_process(tmp_path, argv, code):
             assert lines[:-1] == ["\t".join(["0", ".".join(["fun"] * 2999), normal_form])]
 
 
+@pytest.mark.parametrize("command", ["sn", "graph"])
+def test_sn_and_graph_on_a_40000_argument_spine_in_a_fresh_process(tmp_path, command):
+    # a fresh process at the default recursion limit: canonical forms and
+    # term sizes loop down the spine, past the explorer's raised limit
+    import lambdamu
+
+    src = str(Path(lambdamu.__file__).resolve().parent.parent)
+    path = tmp_path / "spine.lmu"
+    args = " ".join(["v"] * 40000)
+    path.write_text(f"(\\x. x) {args}\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "lambdamu.cli", command, f"@{path}", "--context", "v:bot"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0 and done.stderr == "", done.stderr[-500:]
+    if command == "sn":
+        assert done.stdout == "SN eta=1 nodes=2\n"
+    else:
+        root = f'"(\\\\x0. x0) {args}"'
+        assert done.stdout.splitlines() == [
+            "digraph reduction {",
+            f"  {root} [root=true];",
+            f'  "{args}";',
+            f'  {root} -> "{args}";',
+            "}",
+        ]
+
+
 def test_sn_on_a_root_larger_than_the_fuel_allowance(capsys):
     term = "(\\x. x) (" + " ".join(["v"] * 1400) + ")"
     code, out, _ = run(capsys, "sn", term, "--fuel", "10")

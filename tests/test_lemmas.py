@@ -188,6 +188,29 @@ def test_sn_decomposition_on_x_omega():
     assert res.holds
 
 
+def test_sn_decomposition_searches_a_variable_headed_term(monkeypatch):
+    # explore_sn composes x A B from its arguments; l4 must decide it by
+    # searching its whole graph, or it compares the composition with itself
+    from lambdamu import analysis
+    from lambdamu.terms import canonical
+
+    term = parse_term("x ((\\a. a) v) ((\\a. a) ((\\a. a) w))")
+    searched = []
+    explore = analysis._explore
+
+    def spy(root, fuel):
+        searched.append(root)
+        return explore(root, fuel)
+
+    monkeypatch.setattr(analysis, "_explore", spy)
+    analysis.clear_sn_cache()
+    assert explore_sn(term, 100) == StronglyNormalizing(3, 6)
+    assert canonical(term) not in searched
+    assert len(searched) == 2  # the two redex arguments
+    assert check_sn_decomposition(term, 100).holds
+    assert canonical(term) in searched
+
+
 def test_sn_decomposition_undecided_on_grower():
     grower = parse_term("(\\a. a a z) (\\a. a a z)")
     res = check_sn_decomposition(grower, 1000)

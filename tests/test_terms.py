@@ -17,6 +17,7 @@ from lambdamu.terms import (
     term_size,
     var,
 )
+from lambdamu.syntax import print_term
 from oracles import two_pass_canonical
 
 
@@ -154,3 +155,16 @@ def test_strip_annotations_preserves_structure(m):
     s = strip_annotations(m)
     assert term_size(s) == term_size(m)
     assert free_vars(s) == free_vars(m)
+
+
+def test_canonical_and_term_size_loop_down_spines():
+    # 100,000 arguments, past any recursion limit the explorer sets (and
+    # compared as text: tuple equality itself recurses); the second spine
+    # names x0 free, so canonical takes its renaming pass
+    for name, binder in (("v", "x0"), ("x0", "x1")):
+        t = lam("a", None, var("a"))
+        for _ in range(100_000):
+            t = app(t, var(name))
+        args = " ".join([name] * 100_000)
+        assert print_term(canonical(t)) == f"(\\{binder}. {binder}) {args}"
+        assert term_size(t) == 200_002
