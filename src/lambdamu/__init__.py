@@ -21,12 +21,10 @@ from .terms import (
 from .syntax import ParseError, parse_term, parse_type, print_term, format_type
 from .typecheck import Context, TypeCheckError, connective_count, infer, check_subject_reduction
 from .reduction import (
-    HeadForm,
     NotARedexError,
     Trace,
     arg_terms,
     contract_redex,
-    head_form,
     head_reduce,
     one_step_reducts,
     redex_positions,

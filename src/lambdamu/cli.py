@@ -37,7 +37,7 @@ from .reduction import (
     reduce_with_strategy,
 )
 from .syntax import ParseError, parse_context, parse_term, parse_type, print_term, format_type
-from .terms import Term, TypeExpr
+from .terms import Term
 from .typecheck import TypeCheckError, derivation_lines, infer
 
 OK, VERDICT_FAILURE, USAGE = 0, 1, 2
@@ -50,19 +50,14 @@ def _read_term(arg: str) -> Term:
     return parse_term(arg)
 
 
-def _context(args) -> dict[str, TypeExpr]:
-    return parse_context(args.context) if args.context else {}
-
-
 def _cmd_check(args) -> int:
     term = _read_term(args.term)
-    ctx = _context(args)
     try:
         if args.explain:
-            for line in derivation_lines(ctx, term):
+            for line in derivation_lines(args.context, term):
                 print(line)
         else:
-            print(format_type(infer(ctx, term)))
+            print(format_type(infer(args.context, term)))
         return OK
     except TypeCheckError as err:
         print(f"type error: {err}", file=sys.stderr)
@@ -71,8 +66,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_reduce(args) -> int:
     term = _read_term(args.term)
-    strategy = {"lo": "leftmost-outermost"}.get(args.strategy, args.strategy)
-    trace = reduce_with_strategy(term, strategy, args.max_steps, args.seed)
+    trace = reduce_with_strategy(term, args.strategy, args.max_steps, args.seed)
     if args.trace and trace.steps:
         print(format_trace(trace))
     print(print_term(trace.final))
@@ -110,7 +104,7 @@ def _cmd_graph(args) -> int:
 
 def _cmd_lemmas(args) -> int:
     config = SuiteConfig.make(
-        context=_context(args),
+        context=args.context,
         max_cxty=args.max_size,
         lgt_bound=args.lgt_bound,
         fuel=args.fuel,
@@ -133,8 +127,7 @@ def _cmd_lemmas(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     goal = parse_type(args.type)
-    ctx = _context(args)
-    for term in enumerate_typed_of_type(ctx, goal, args.max_size, args.lgt_bound):
+    for term in enumerate_typed_of_type(args.context, goal, args.max_size, args.lgt_bound):
         print(print_term(term))
     return OK
 
@@ -159,8 +152,11 @@ def _cmd_step(args) -> int:
             continue
         try:
             index = int(line)
+        except ValueError:
+            index = -1
+        if 0 <= index < len(positions):
             term = reduce_at(term, positions[index])
-        except (ValueError, IndexError):
+        else:
             print(f"pick an index between 0 and {len(positions) - 1}", file=sys.stderr)
 
 
@@ -241,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # (argparse dest, least value) of the numeric options that have one
-_LOWER_BOUNDS = (("fuel", 1), ("max_size", 1), ("lgt_bound", 0))
+_LOWER_BOUNDS = (("fuel", 1), ("max_size", 1), ("lgt_bound", 0), ("max_steps", 0))
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -254,6 +250,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"error: {flag} must be at least {least}, got {value}", file=sys.stderr)
             return USAGE
     try:
+        args.context = parse_context(args.context)
         return args.fn(args)
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)

@@ -623,9 +623,7 @@ def run_arg_inclusion_suite(config: SuiteConfig, samples: int = 1000) -> LemmaRe
     return _finish("l3", config, samples, failures, 0, 0, started)
 
 
-def run_application_suite(
-    config: SuiteConfig, samples: int = 1000, allow_free: bool = False
-) -> LemmaReport:
+def run_application_suite(config: SuiteConfig, samples: int = 1000) -> LemmaReport:
     """Seeded SN instances (mixed annotated and annotation-stripped):
     applying each to a variable must stay SN with eta not dropping.
     Undecided counts as failure here."""
@@ -639,11 +637,8 @@ def run_application_suite(
         rng = random.Random(_derived_seed(config.seed, i))
         inst = _sample_term(ctx, rng, budget, config.lgt_bound)
         term = inst.term if i % 2 == 0 else strip_annotations(inst.term)
-        if allow_free and free_vars(term):
-            y = sorted(free_vars(term))[0]
-        else:
-            y = fresh_name("y", free_vars(term) | set(ctx))
-        res = check_application_to_variable(term, y, config.fuel, allow_free=allow_free)
+        y = fresh_name("y", free_vars(term) | set(ctx))
+        res = check_application_to_variable(term, y, config.fuel)
         st = explore_sn((APP, term, (VAR, y)), config.fuel)
         if isinstance(st, StronglyNormalizing):
             max_eta = max(max_eta, st.eta)
@@ -652,10 +647,11 @@ def run_application_suite(
     return _finish("l5", config, samples, failures, max_eta, 0, started)
 
 
-def run_substitution_suite(
-    config: SuiteConfig, samples: int = 500, mu_image_every: int = 5
-) -> LemmaReport:
-    """Seeded same-type substitution instances; every mu_image_every-th
+_MU_IMAGE_EVERY = 5
+
+
+def run_substitution_suite(config: SuiteConfig, samples: int = 500) -> LemmaReport:
+    """Seeded same-type substitution instances; every _MU_IMAGE_EVERY-th
     instance forces all images to be mu abstractions.  M[sigma] must be
     SN on every decided instance; undecided counts as failure."""
     started = time.perf_counter()
@@ -667,7 +663,7 @@ def run_substitution_suite(
     max_eta = 0
     for i in range(samples):
         rng = random.Random(_derived_seed(config.seed, i))
-        force_mu = i % mu_image_every == 0
+        force_mu = i % _MU_IMAGE_EVERY == 0
         # mu-rooted images of type bot would need an inhabited bot, so
         # stick to arrow types when forcing; fall through the candidates
         # if a type has no image in this context

@@ -43,49 +43,6 @@ class InvalidPositionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class HeadForm:
-    """Decomposition of a term into binder prefix, head and spine.
-
-    The head is either a variable node or a redex (an application whose
-    function part is an abstraction).  Reassembling prefix, head and
-    spine gives back the original term syntactically.
-    """
-
-    prefix: tuple[tuple[str, str, Optional[tuple]], ...]
-    head: Term
-    spine: tuple[Term, ...]
-
-    @property
-    def head_is_variable(self) -> bool:
-        return self.head[0] == VAR
-
-    def reassemble(self) -> Term:
-        t = self.head
-        for arg in self.spine:
-            t = (APP, t, arg)
-        for kind, name, annot in reversed(self.prefix):
-            t = (kind, name, annot, t)
-        return t
-
-
-def head_form(t: Term) -> HeadForm:
-    """Strip the maximal binder prefix and flatten the application spine."""
-    prefix = []
-    while t[0] == LAM or t[0] == MU:
-        prefix.append((t[0], t[1], t[2]))
-        t = t[3]
-    spine = []
-    while t[0] == APP:
-        spine.append(t[2])
-        t = t[1]
-    spine.reverse()
-    if t[0] == VAR:
-        return HeadForm(tuple(prefix), t, tuple(spine))
-    # t is an abstraction with at least one spine element: the head redex
-    return HeadForm(tuple(prefix), (APP, t, spine[0]), tuple(spine[1:]))
-
-
 def is_redex(t: Term) -> bool:
     return t[0] == APP and (t[1][0] == LAM or t[1][0] == MU)
 
@@ -171,18 +128,7 @@ def redex_positions(t: Term) -> list[Path]:
 
 
 def is_normal_form(t: Term) -> bool:
-    todo = [t]
-    while todo:
-        t = todo.pop()
-        tag = t[0]
-        if tag == APP:
-            if t[1][0] == LAM or t[1][0] == MU:
-                return False
-            todo.append(t[2])
-            todo.append(t[1])
-        elif tag != VAR:
-            todo.append(t[3])
-    return True
+    return next(_redexes(t), None) is None
 
 
 def reduce_at(t: Term, path: Path) -> Term:
@@ -213,19 +159,13 @@ def one_step_reducts(t: Term) -> set[Term]:
 
 
 def head_reduce(t: Term) -> Optional[Term]:
-    """Contract the head redex, if any (None on head normal forms)."""
-    hf = head_form(t)
-    if hf.head_is_variable:
+    """Contract the head redex, if any (None on head normal forms).
+    The head redex is the leftmost-outermost one when its path enters
+    no argument."""
+    frames, redex = next(_redexes(t), (None, None))
+    if redex is None or any(step == "arg" for step, _ in frames):
         return None
-    prefix_names = tuple(name for _, name, _ in hf.prefix)
-    contracted = contract_redex(hf.head, prefix_names)
-    return HeadForm(hf.prefix, contracted, hf.spine).reassemble()
-
-
-def _head_redex_path(t: Term) -> Path:
-    hf = head_form(t)
-    path = tuple(("lam" if kind == LAM else "mu") for kind, _, _ in hf.prefix)
-    return path + ("fun",) * len(hf.spine)
+    return _contract_in(frames, redex)
 
 
 def arg_terms(t: Term) -> set[Term]:
@@ -234,12 +174,14 @@ def arg_terms(t: Term) -> set[Term]:
     otherwise.  The redex's abstraction is taken whole, so no part has a
     binder of the redex free.  Returned as canonical forms (duplicates
     collapse)."""
-    hf = head_form(t)
-    if hf.head_is_variable:
-        parts = hf.spine
-    else:
-        redex = hf.head
-        parts = (redex[1], redex[2]) + hf.spine
+    while t[0] == LAM or t[0] == MU:
+        t = t[3]
+    parts = []
+    while t[0] == APP:
+        parts.append(t[2])
+        t = t[1]
+    if t[0] != VAR:
+        parts.append(t)
     return {canonical(p) for p in parts}
 
 
@@ -266,12 +208,25 @@ class Trace:
 STRATEGIES = ("head", "leftmost-outermost", "lo", "random")
 
 
+def _next_path(t: Term, strategy: str, rng: random.Random) -> Optional[Path]:
+    """The path the strategy fires next in t, or None where it stops."""
+    positions = redex_positions(t)
+    if not positions:
+        return None
+    if strategy == "random":
+        return positions[rng.randrange(len(positions))]
+    if strategy == "head" and "arg" in positions[0]:
+        return None
+    return positions[0]
+
+
 def reduce_with_strategy(
     t: Term, strategy: str, max_steps: int, seed: int = 0
 ) -> Trace:
     """Run at most max_steps reduction steps under the given strategy.
 
-    `head` fires the head redex until head normal form;
+    `head` fires the head redex until head normal form, that is the
+    leftmost-outermost redex until that one sits inside an argument;
     `leftmost-outermost` (alias `lo`) fires the first redex position;
     `random` picks a position uniformly, deterministically per seed.
     """
@@ -280,32 +235,13 @@ def reduce_with_strategy(
     rng = random.Random(seed)
     steps: list[TraceStep] = []
     current = t
-    finished = False
     for _ in range(max_steps):
-        if strategy == "head":
-            hf = head_form(current)
-            if hf.head_is_variable:
-                finished = True
-                break
-            path = _head_redex_path(current)
-        else:
-            positions = redex_positions(current)
-            if not positions:
-                finished = True
-                break
-            if strategy == "random":
-                path = positions[rng.randrange(len(positions))]
-            else:
-                path = positions[0]
+        path = _next_path(current, strategy, rng)
+        if path is None:
+            break
         current = reduce_at(current, path)
         steps.append(TraceStep(path, current))
-    else:
-        # ran out of budget; note whether we happen to be done anyway
-        if strategy == "head":
-            finished = head_form(current).head_is_variable
-        else:
-            finished = not redex_positions(current)
-    return Trace(t, tuple(steps), finished)
+    return Trace(t, tuple(steps), _next_path(current, strategy, rng) is None)
 
 
 def format_trace(trace: Trace) -> str:

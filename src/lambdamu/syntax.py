@@ -283,5 +283,7 @@ def parse_context(text: str) -> dict[str, TypeExpr]:
         name = name.strip()
         if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_']*", name) or name in RESERVED:
             raise ParseError(f"bad variable name {name!r}", part, 0, len(part))
+        if name in ctx:
+            raise ParseError(f"duplicate name {name!r}", part, 0, len(part))
         ctx[name] = parse_type(tytext)
     return ctx

@@ -76,15 +76,24 @@ def test_sn_unknown(capsys):
         ("lemmas", "--suite", "thm8", "--lgt-bound", "-1"),
         ("enumerate", "--type", "bot", "--max-size", "0"),
         ("enumerate", "--type", "bot", "--lgt-bound", "-1"),
+        ("reduce", "x", "--max-steps", "-3"),
     ],
 )
 def test_fuel_below_one_is_a_usage_error(capsys, argv):
-    # and --max-size below 1 and --lgt-bound below 0, likewise
+    # and --max-size below 1, --lgt-bound and --max-steps below 0, likewise
     flag, value = argv[-2:]
-    least = 0 if flag == "--lgt-bound" else 1
+    least = 0 if flag in ("--lgt-bound", "--max-steps") else 1
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == "error: %s must be at least %d, got %s\n" % (flag, least, value)
+
+
+@pytest.mark.parametrize("command", ["reduce", "eta", "sn", "graph", "step"])
+def test_malformed_context_is_a_parse_error(capsys, command):
+    code, out, err = run(capsys, command, "x", "--context", "garbage")
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: expected name:type")
+    assert err.count("\n") == 1
 
 
 def test_sampler_without_inhabitants_is_a_usage_error():
@@ -296,6 +305,16 @@ def test_step(capsys, monkeypatch):
     assert code == 0
     assert "normal form" in out
     assert "[0]" in out
+
+
+def test_step_rejects_an_index_outside_the_list(capsys, monkeypatch):
+    # -1 must not pick the last redex
+    term = "(\\x:bot. x) ((\\x:bot. x) y)"
+    monkeypatch.setattr("sys.stdin", io.StringIO("-1\n2\n"))
+    code, out, err = run(capsys, "step", term)
+    assert code == 0
+    assert err == "pick an index between 0 and 1\n" * 2
+    assert out.count("(\\x:bot. x) ((\\x:bot. x) y)\n") == 3
 
 
 def test_usage_error_exits_2(capsys):

@@ -6,14 +6,12 @@ from hypothesis import given, settings
 
 from conftest import ARG_INCLUSION_REGRESSIONS, names, terms
 from lambdamu.reduction import (
-    HeadForm,
     InvalidPositionError,
     NotARedexError,
     Trace,
     arg_terms,
     contract_redex,
     format_trace,
-    head_form,
     head_reduce,
     is_normal_form,
     one_step_reducts,
@@ -38,39 +36,27 @@ from lambdamu.terms import (
 )
 
 
-def test_head_form_variable_head():
-    hf = head_form(parse_term("\\x. y a b"))
-    assert hf.prefix == (("lam", "x", None),)
-    assert hf.head == var("y")
-    assert hf.spine == (var("a"), var("b"))
-    assert hf.head_is_variable
-
-
-def test_head_form_head_redex_with_spine():
-    hf = head_form(parse_term("(\\x. x) q o1"))
-    assert hf.prefix == ()
-    assert hf.head == parse_term("(\\x. x) q")
-    assert hf.spine == (var("o1"),)
-    assert not hf.head_is_variable
-
-
-def test_head_form_mu_redex_under_prefix():
-    hf = head_form(parse_term("mu a. (mu x. p) q"))
-    assert hf.prefix == (("mu", "a", None),)
-    assert hf.head == parse_term("(mu x. p) q")
-    assert hf.spine == ()
-
-
-@given(terms)
-def test_head_form_reassembles_exactly(t):
-    assert head_form(t).reassemble() == t
+def _head_is_variable(t):
+    while t[0] in ("lam", "mu"):
+        t = t[3]
+    while t[0] == "app":
+        t = t[1]
+    return t[0] == "var"
 
 
 @given(terms)
 def test_head_dichotomy(t):
     # exactly one of: variable head, or a head reduct exists
-    hf = head_form(t)
-    assert hf.head_is_variable == (head_reduce(t) is None)
+    assert _head_is_variable(t) == (head_reduce(t) is None)
+
+
+@given(terms)
+def test_head_reduce_is_the_first_redex_outside_every_argument(t):
+    positions = redex_positions(t)
+    if positions and "arg" not in positions[0]:
+        assert head_reduce(t) == reduce_at(t, positions[0])
+    else:
+        assert head_reduce(t) is None
 
 
 def test_contract_beta():
@@ -228,10 +214,13 @@ def test_strategy_mu_three_steps():
 def test_strategy_head_stops_at_head_normal_form():
     t = parse_term("\\a. (\\x. x) ((\\y. y) b)")
     tr = reduce_with_strategy(t, "head", 10)
+    assert tr.finished
+    assert _head_is_variable(tr.final)
     # the head strategy contracts the head redex only; the inner argument
     # redex survives in head normal form
-    assert tr.finished
-    assert head_form(tr.final).head_is_variable
+    t = parse_term("\\a. (\\x. x) a ((\\y. y) b)")
+    tr = reduce_with_strategy(t, "head", 10)
+    assert tr.finished and tr.final == parse_term("\\a. a ((\\y. y) b)")
 
 
 def test_strategy_random_is_deterministic_per_seed():

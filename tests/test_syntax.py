@@ -122,6 +122,11 @@ def test_context_round_trip():
     assert parse_context("") == {}
 
 
+def test_context_rejects_a_repeated_name():
+    with pytest.raises(ParseError, match="duplicate name 'x'"):
+        parse_context("x:bot, x:bot->bot")
+
+
 def test_annotation_with_arrow_round_trips():
     t = lam("z", arrow("bot", "bot"), var("z"))
     assert print_term(t) == "\\z:bot->bot. z"
