@@ -13,6 +13,7 @@ answer: divergence without a cycle always lands in Unknown.
 
 from __future__ import annotations
 
+import functools
 import sys
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -56,6 +57,26 @@ class ReductionGraph:
     complete: bool
 
 
+def _headroom(fn):
+    """fn with the recursion limit raised to _RECURSION_FLOOR while it
+    runs, and the caller's limit given back on return: the reducts of a
+    grower are deep left spines, past the default limit."""
+
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        limit = sys.getrecursionlimit()
+        if limit >= _RECURSION_FLOOR:
+            return fn(*args, **kwargs)
+        sys.setrecursionlimit(_RECURSION_FLOOR)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            sys.setrecursionlimit(limit)
+
+    return run
+
+
+@_headroom
 def reduction_graph(t: Term, fuel: int) -> ReductionGraph:
     """Breadth-first closure of the one-step relation from canonical(t).
 
@@ -65,7 +86,6 @@ def reduction_graph(t: Term, fuel: int) -> ReductionGraph:
     on the term and the fuel, not on set iteration order."""
     if fuel < 1:
         raise ValueError("fuel must be at least 1")
-    _headroom()
     root = canonical(t)
     nodes = {root}
     edges: set[tuple[Term, Term]] = set()
@@ -111,12 +131,6 @@ def _work_allowance(fuel: int, root_size: int) -> int:
     )
 
 
-def _headroom() -> None:
-    # deep left spines (a grower's reducts) exceed the default limit
-    if sys.getrecursionlimit() < _RECURSION_FLOOR:
-        sys.setrecursionlimit(_RECURSION_FLOOR)
-
-
 # Verdicts are pure in (canonical term, fuel); the cache only re-serves
 # them, each with the work total of its search.  It holds searched
 # verdicts only: a composed verdict is never stored, so what the cache
@@ -129,6 +143,7 @@ def clear_sn_cache() -> None:
     _sn_cache.clear()
 
 
+@_headroom
 def explore_sn(t: Term, fuel: int) -> SnStatus:
     """The verdict on t at a node fuel.
 
@@ -150,6 +165,7 @@ def explore_sn(t: Term, fuel: int) -> SnStatus:
     return found[0]
 
 
+@_headroom
 def _search_sn(t: Term, fuel: int) -> SnStatus:
     """explore_sn without composition: the verdict of a search of t's
     whole graph, for checks that compare it with the verdicts of parts."""
@@ -163,7 +179,6 @@ def _search_sn(t: Term, fuel: int) -> SnStatus:
 def _root(t: Term, fuel: int) -> Term:
     if fuel < 1:
         raise ValueError("fuel must be at least 1")
-    _headroom()
     return canonical(t)
 
 

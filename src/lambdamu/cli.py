@@ -255,7 +255,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return USAGE
-    except (OSError, SamplingFailed) as err:
+    except (OSError, SamplingFailed, RecursionError) as err:
+        # RecursionError: tuple equality recurses in C, so comparing two
+        # distinct, equal, very deep terms can pass any recursion limit
         print(f"error: {err}", file=sys.stderr)
         return USAGE
 

@@ -39,7 +39,6 @@ from .terms import (
     VAR,
     Term,
     TypeExpr,
-    free_vars,
     fresh_name,
 )
 from .typecheck import TypeCheckError, check_subject_reduction, connective_count
@@ -496,13 +495,10 @@ def annotate_shape(shape: Term, binder_types) -> Term:
 @dataclass(frozen=True, slots=True)
 class ShapeEntry:
     """One realizable erased shape: its text, how many annotated
-    instances it stands for, which context names it uses (one frozenset
-    shared by every entry of a scan with the same names), and whether
-    it is a normal form."""
+    instances it stands for, and whether it is a normal form."""
 
     text: str
     instances: int
-    uses: frozenset[str]
     normal: bool
 
 
@@ -520,35 +516,17 @@ _scan_cache: dict = {}
 def shape_scan(ctx: Mapping[str, TypeExpr], max_cxty: int, lgt_bound: int) -> ShapeScan:
     """Enumerate erased shapes over the context's names, keep those with
     a principal typing realizable with annotations of lgt <= lgt_bound,
-    and count each one's annotated instances.  Cached per configuration;
-    a sub-context reuses a wider scan by filtering on used names."""
+    and count each one's annotated instances.  Cached per configuration."""
     key = (tuple(sorted(ctx.items())), max_cxty, lgt_bound)
     got = _scan_cache.get(key)
     if got is not None:
         return got
-    names = frozenset(ctx)
-    for (items, mc, lb), scan in list(_scan_cache.items()):
-        wider = dict(items)
-        if mc == max_cxty and lb == lgt_bound and names <= set(wider) and all(
-            wider[n] == t for n, t in ctx.items()
-        ):
-            entries = tuple(e for e in scan.entries if e.uses <= names)
-            out = ShapeScan(
-                entries,
-                sum(e.instances for e in entries),
-                scan.shapes_seen,
-                scan.typeable,
-            )
-            _scan_cache[key] = out
-            return out
     universe = enumerate_types(lgt_bound)
-    free = tuple(sorted(ctx))
     entries = []
-    uses: dict[frozenset[str], frozenset[str]] = {}
     total = 0
     seen = 0
     typeable = 0
-    for shape in iter_shapes(free, max_cxty):
+    for shape in iter_shapes(tuple(sorted(ctx)), max_cxty):
         seen += 1
         p = principal_typing(shape, ctx)
         if p is None:
@@ -557,15 +535,7 @@ def shape_scan(ctx: Mapping[str, TypeExpr], max_cxty: int, lgt_bound: int) -> Sh
         count = assignment_count(p.binder_types, universe)
         if count == 0:
             continue
-        names_used = free_vars(shape)
-        entries.append(
-            ShapeEntry(
-                print_term(shape),
-                count,
-                uses.setdefault(names_used, names_used),
-                is_normal_form(shape),
-            )
-        )
+        entries.append(ShapeEntry(print_term(shape), count, is_normal_form(shape)))
         total += count
     out = ShapeScan(tuple(entries), total, seen, typeable)
     _scan_cache[key] = out

@@ -47,11 +47,11 @@ from .terms import (
     VAR,
     Term,
     TypeExpr,
+    _canonical_avoiding,
     canonical,
     free_occurrences,
     free_vars,
     fresh_name,
-    rename_binders_apart,
     strip_annotations,
     substitute,
     substitute_parallel,
@@ -241,7 +241,7 @@ def check_arg_substitution_inclusion(term: Term, x: str, n: Term) -> CheckResult
     arg(M), up to alpha, with M's binders first renamed apart from x and
     from the free variables of N (the variable convention), so that no
     part is substituted under a binder of M or captured by one."""
-    term = rename_binders_apart(term, {x} | free_vars(n))
+    term = _canonical_avoiding(term, {x} | free_vars(n) | free_vars(term))
     lhs = arg_terms(substitute(term, x, n))
     rhs = set(arg_terms(n))
     rhs.add(canonical(n))
@@ -730,10 +730,12 @@ def run_suite(name: str, config: SuiteConfig, samples: Optional[int] = None) -> 
         return run_subject_reduction_suite(config)
     if name == "l4":
         return run_decomposition_suite(config)
-    if name == "l3":
-        return run_arg_inclusion_suite(config, samples or 1000)
-    if name == "l5":
-        return run_application_suite(config, samples or 1000)
-    if name == "l7":
-        return run_substitution_suite(config, samples or 500)
+    sampled = {
+        "l3": run_arg_inclusion_suite,
+        "l5": run_application_suite,
+        "l7": run_substitution_suite,
+    }.get(name)
+    if sampled is not None:
+        # None keeps the suite's own default sample count
+        return sampled(config) if samples is None else sampled(config, samples)
     raise ValueError(f"unknown suite {name!r} (expected one of {', '.join(SUITES)})")

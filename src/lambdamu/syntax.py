@@ -105,12 +105,6 @@ class _Parser:
         tok = tok or self.peek()
         raise ParseError(message, self.text, tok.start, max(tok.end, tok.start + 1))
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            self.fail(f"expected {what}", tok)
-        return self.next()
-
     def ident(self, role: str) -> str:
         tok = self.peek()
         if tok.kind in ("mu", "bot"):

@@ -213,7 +213,11 @@ def canonical(t: Term) -> Term:
 
 
 def _canonical_avoiding(t: Term, avoid: set[str]) -> Term:
-    """canonical(t) when `avoid` holds the free names of t."""
+    """t with its binders renamed x0, x1, ... in pre-order, skipping the
+    names in `avoid`.  When `avoid` holds the free names of t this is
+    canonical(t), and for a wider `avoid` it is t under the variable
+    convention: alpha-equivalent, every binder distinct and outside
+    `avoid`."""
     counter = [0]
 
     def next_name() -> str:
@@ -238,25 +242,6 @@ def _canonical_avoiding(t: Term, avoid: set[str]) -> Term:
                 out = (APP, out, walk(arg, env))
             return out
         name = next_name()
-        return (tag, name, t[2], walk(t[3], {**env, t[1]: name}))
-
-    return walk(t, {})
-
-
-def rename_binders_apart(t: Term, avoid) -> Term:
-    """t, alpha-equivalent, with every binder renamed (by fresh_name) to
-    a name outside `avoid`, outside the free variables of t, and unlike
-    every other binder: the variable convention."""
-    taken = set(avoid) | free_vars(t)
-
-    def walk(t: Term, env: dict[str, str]) -> Term:
-        tag = t[0]
-        if tag == VAR:
-            return (VAR, env.get(t[1], t[1]))
-        if tag == APP:
-            return (APP, walk(t[1], env), walk(t[2], env))
-        name = fresh_name(t[1], taken)
-        taken.add(name)
         return (tag, name, t[2], walk(t[3], {**env, t[1]: name}))
 
     return walk(t, {})

@@ -193,6 +193,43 @@ def test_deep_binder_chain_in_a_fresh_process():
     assert done.stdout == "StronglyNormalizing(eta=1, graph_nodes=2)\n"
 
 
+def test_what_parses_does_not_depend_on_an_earlier_exploration():
+    # one fresh process: the explorers raise the recursion limit only
+    # while they run, so a nest too deep to parse before exploring stays
+    # too deep after it
+    import lambdamu
+
+    src = str(Path(lambdamu.__file__).resolve().parent.parent)
+    code = (
+        "import sys\n"
+        "from lambdamu import analysis\n"
+        "from lambdamu.syntax import ParseError, parse_term\n"
+        "text = '(' * 2000 + 'v' + ')' * 2000\n"
+        "def outcome():\n"
+        "    try:\n"
+        "        parse_term(text)\n"
+        "    except ParseError:\n"
+        "        return 'ParseError'\n"
+        "    return 'parsed'\n"
+        "limit = sys.getrecursionlimit()\n"
+        "print(outcome())\n"
+        "t = parse_term('(\\\\x. x) ((\\\\y. y) v)')\n"
+        "analysis.explore_sn(t, 10)\n"
+        "analysis._search_sn(t, 10)\n"
+        "analysis.reduction_graph(t, 10)\n"
+        "print(outcome(), sys.getrecursionlimit() == limit)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr[-500:]
+    assert done.stdout == "ParseError\nParseError True\n"
+
+
 # ---- composition of variable-headed terms ---------------------------------
 
 FUEL = 100_000

@@ -207,6 +207,29 @@ def test_sn_and_graph_on_a_40000_argument_spine_in_a_fresh_process(tmp_path, com
         ]
 
 
+@pytest.mark.parametrize("command", ["sn", "graph"])
+def test_equal_deep_reducts_are_one_error_line_in_a_fresh_process(tmp_path, command):
+    # two redexes give equal 40,000-deep reducts, and comparing two
+    # distinct equal tuples recurses in C past any recursion limit: the
+    # command reports it as an error, never a traceback
+    import lambdamu
+
+    src = str(Path(lambdamu.__file__).resolve().parent.parent)
+    path = tmp_path / "spine.lmu"
+    path.write_text("(\\x. x) ((\\y. y) v) " + " ".join(["v"] * 40000) + "\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "lambdamu.cli", command, f"@{path}", "--context", "v:bot"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 2, done.stderr[-500:]
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr[-500:]
+
+
 def test_sn_on_a_root_larger_than_the_fuel_allowance(capsys):
     term = "(\\x. x) (" + " ".join(["v"] * 1400) + ")"
     code, out, _ = run(capsys, "sn", term, "--fuel", "10")

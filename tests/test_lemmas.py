@@ -345,6 +345,13 @@ def test_seeded_suites_hold():
         assert report.ok, (suite, report.failures[:3])
 
 
+@pytest.mark.parametrize("suite", ["l3", "l5", "l7"])
+def test_zero_samples_is_an_empty_report(suite):
+    # only None selects a suite's default sample count
+    report = run_suite(suite, SMALL, samples=0)
+    assert (report.instances, report.passes, report.failures) == (0, 0, ())
+
+
 def test_suite_reports_are_deterministic():
     a = run_suite("l5", SMALL, samples=25)
     b = run_suite("l5", SMALL, samples=25)

@@ -24,13 +24,13 @@ from lambdamu.corpus import shape_scan
 from lambdamu.lemmas import non_sn_catalog
 from lambdamu.syntax import parse_term, print_term
 from lambdamu.terms import (
+    _canonical_avoiding,
     alpha_eq,
     app,
     canonical,
     free_vars,
     lam,
     mu,
-    rename_binders_apart,
     substitute,
     var,
 )
@@ -146,7 +146,7 @@ def test_hred_is_a_one_step_reduct(t):
 def _arg_inclusion_holds(m, x, n):
     # arg(M[x:=N]) inside arg(N) + {N} + substituted arg(M), with M's
     # binders renamed apart from x and FV(N) (the variable convention)
-    m = rename_binders_apart(m, {x} | free_vars(n))
+    m = _canonical_avoiding(m, {x} | free_vars(n) | free_vars(m))
     lhs = arg_terms(substitute(m, x, n))
     rhs = set(arg_terms(n)) | {canonical(n)}
     rhs |= {canonical(substitute(q, x, n)) for q in arg_terms(m)}
