@@ -9,9 +9,14 @@ Three views of "every well-typed term within bounds":
   out to count derivations),
 * the annotation-erased shape quotient: reduction never reads
   annotations, so strong normalization, reduction length and graph
-  shape are decided once per erased shape.  Per-shape instance counts
-  come from counting the annotation assignments compatible with the
-  shape's principal typing.
+  shape are decided once per erased shape.  The scan generates only
+  typeable shapes: a goal type goes down each shape through one
+  unifier whose bindings are undone on backtracking, so a subtree whose
+  constraints fail is never completed (after Tarau, "On Type-directed
+  Generation of Lambda Terms", ICLP 2015 TC).  Per-shape instance
+  counts come from counting the annotation assignments compatible with
+  the shape's principal binder types, once per distinct pattern of
+  them.
 
 Subject reduction does depend on annotations, so the sweep over the
 full corpus runs symbolically: shapes are annotated with their
@@ -232,9 +237,14 @@ def count_typed_instances(
         return out
 
     root = tuple(sorted(tid(t) for t in ctx.values()))
-    return sum(
-        sum(counts(root, n).values()) for n in range(1, max_cxty + 1)
-    )
+    try:
+        return sum(
+            sum(counts(root, n).values()) for n in range(1, max_cxty + 1)
+        )
+    finally:
+        # `counts` calls itself through its own closure cell: a cycle
+        # that would keep the memo alive until a full collection
+        del counts
 
 
 # ---------------------------------------------------------------------------
@@ -271,26 +281,51 @@ def iter_shapes(free_names: tuple[str, ...], max_size: int) -> Iterator[Term]:
 
 
 class _Unifier:
-    __slots__ = ("sub", "n")
+    """Unification with an occurs check over type expressions whose
+    leaves may be metavariables.  Every binding goes on a trail, so
+    `undo(mark)` takes back all bindings made since `mark()`: a search
+    binds, goes deeper and backtracks without copying the substitution.
+
+    An expression's first item tells its kind: META for a metavariable,
+    ARROW for an arrow, and the "b" of BOT."""
+
+    __slots__ = ("sub", "n", "trail")
 
     def __init__(self):
         self.sub: dict = {}
         self.n = 0
+        self.trail: list = []
 
     def fresh(self):
         self.n += 1
         return (META, self.n)
 
+    def mark(self) -> int:
+        return len(self.trail)
+
+    def undo(self, mark: int) -> None:
+        trail, sub = self.trail, self.sub
+        while len(trail) > mark:
+            del sub[trail.pop()]
+
+    def bind(self, v, t) -> None:
+        self.sub[v] = t
+        self.trail.append(v)
+
     def find(self, t):
-        while is_metavar(t) and t in self.sub:
-            t = self.sub[t]
+        sub = self.sub
+        while t[0] == META:
+            got = sub.get(t)
+            if got is None:
+                break
+            t = got
         return t
 
     def occurs(self, v, t) -> bool:
         t = self.find(t)
         if t == v:
             return True
-        if isinstance(t, tuple) and t[0] == ARROW:
+        if t[0] == ARROW:
             return self.occurs(v, t[1]) or self.occurs(v, t[2])
         return False
 
@@ -299,12 +334,12 @@ class _Unifier:
         b = self.find(b)
         if a == b:
             return True
-        if is_metavar(a):
+        if a[0] == META:
             if self.occurs(a, b):
                 return False
-            self.sub[a] = b
+            self.bind(a, b)
             return True
-        if is_metavar(b):
+        if b[0] == META:
             return self.unify(b, a)
         if a == BOT or b == BOT:
             return False
@@ -312,7 +347,7 @@ class _Unifier:
 
     def resolve(self, t):
         t = self.find(t)
-        if isinstance(t, tuple) and t[0] == ARROW:
+        if t[0] == ARROW:
             return (ARROW, self.resolve(t[1]), self.resolve(t[2]))
         return t
 
@@ -370,7 +405,7 @@ def principal_typing(shape: Term, ctx: Mapping[str, TypeExpr]) -> Optional[Princ
 def _match_into(expr, concrete, binding: dict) -> bool:
     """Match a metavariable expression against a concrete type, extending
     `binding` consistently."""
-    if is_metavar(expr):
+    if expr[0] == META:
         got = binding.get(expr)
         if got is None:
             binding[expr] = concrete
@@ -386,9 +421,9 @@ def _match_into(expr, concrete, binding: dict) -> bool:
 
 
 def _expr_metavars(expr, acc: set) -> None:
-    if is_metavar(expr):
+    if expr[0] == META:
         acc.add(expr)
-    elif isinstance(expr, tuple) and expr[0] == ARROW:
+    elif expr[0] == ARROW:
         _expr_metavars(expr[1], acc)
         _expr_metavars(expr[2], acc)
 
@@ -510,34 +545,134 @@ class ShapeScan:
     typeable: int
 
 
+def _typed_shapes(
+    n: int, env: tuple, names: list[str], u: _Unifier, binders: list
+) -> Iterator[Term]:
+    """The shapes of exactly n nodes that `_shapes_exact` yields and that
+    have a simple typing, in the same order.  `env` holds one
+    ((VAR, name), type) pair per name in scope.
+
+    A goal type goes down the shape and each variable leaf is unified
+    with its goal, so a subtree stops as soon as its constraints fail.
+    At each yield `u` holds the shape's most general typing and
+    `binders` its binder types in pre-order; each level undoes its own
+    bindings and pops its own binders before it moves on."""
+
+    def gen(n: int, depth: int, env: tuple, goal) -> Iterator[Term]:
+        if n == 1:
+            for leaf, ty in env:
+                m = u.mark()
+                if u.unify(ty, goal):
+                    yield leaf
+                u.undo(m)
+            return
+        b = names[depth]
+        goal = u.find(goal)
+        if goal != BOT:
+            m = u.mark()
+            if goal[0] == META:
+                dom, cod = u.fresh(), u.fresh()
+                u.bind(goal, (ARROW, dom, cod))
+            else:
+                dom, cod = goal[1], goal[2]
+            binders.append(dom)
+            for body in gen(n - 1, depth + 1, env + (((VAR, b), dom),), cod):
+                yield (LAM, b, None, body)
+            binders.pop()
+            u.undo(m)
+        # a mu binder is annotated with the term's own type
+        binders.append(goal)
+        for body in gen(n - 1, depth + 1, env + (((VAR, b), (ARROW, goal, BOT)),), BOT):
+            yield (MU, b, None, body)
+        binders.pop()
+        for n1 in range(1, n - 1):
+            dom = u.fresh()
+            for fun in gen(n1, depth, env, (ARROW, dom, goal)):
+                for arg in gen(n - 1 - n1, depth, env, dom):
+                    yield (APP, fun, arg)
+
+    return gen(n, 0, env, u.fresh())
+
+
+def _pattern(exprs, u: _Unifier) -> tuple:
+    """The resolved binder types, metavariables renumbered in order of
+    first occurrence: shapes whose patterns are equal have equal
+    assignment counts."""
+    renamed: dict = {}
+
+    def walk(t):
+        t = u.find(t)
+        if t[0] == META:
+            got = renamed.get(t)
+            if got is None:
+                got = renamed[t] = (META, len(renamed) + 1)
+            return got
+        if t == BOT:
+            return t
+        return (ARROW, walk(t[1]), walk(t[2]))
+
+    return tuple(walk(e) for e in exprs)
+
+
+def _shape_total(free: int, max_size: int) -> int:
+    """How many shapes iter_shapes yields over `free` names: S(1, k) = k
+    and S(n, k) = 2 S(n-1, k+1) + sum of S(i, k) S(n-1-i, k) over the
+    application splits, k being the names in scope."""
+    memo: dict = {}
+
+    def count(n: int, k: int) -> int:
+        got = memo.get((n, k))
+        if got is None:
+            if n == 1:
+                got = k
+            else:
+                got = 2 * count(n - 1, k + 1) + sum(
+                    count(i, k) * count(n - 1 - i, k) for i in range(1, n - 1)
+                )
+            memo[n, k] = got
+        return got
+
+    return sum(count(n, free) for n in range(1, max_size + 1))
+
+
 _scan_cache: dict = {}
 
 
 def shape_scan(ctx: Mapping[str, TypeExpr], max_cxty: int, lgt_bound: int) -> ShapeScan:
-    """Enumerate erased shapes over the context's names, keep those with
-    a principal typing realizable with annotations of lgt <= lgt_bound,
-    and count each one's annotated instances.  Cached per configuration."""
+    """The erased shapes over the context's names, in iter_shapes order,
+    that have a principal typing realizable with annotations of lgt <=
+    lgt_bound, each with its number of annotated instances.  Cached per
+    configuration.
+
+    The shapes come from one type-directed generator over one undoable
+    unifier, so untypeable shapes are never built.  Each shape's binder
+    types, renamed in order of first occurrence, key a memo of
+    assignment counts for the scan, so each pattern is counted once.
+    `shapes_seen` counts what iter_shapes would yield, by recurrence."""
     key = (tuple(sorted(ctx.items())), max_cxty, lgt_bound)
     got = _scan_cache.get(key)
     if got is not None:
         return got
     universe = enumerate_types(lgt_bound)
+    names = _binder_names(set(ctx), max_cxty + 1, "b")
+    env = tuple(((VAR, x), ctx[x]) for x in sorted(ctx))
+    u = _Unifier()
+    binders: list = []
+    counts: dict = {}
     entries = []
     total = 0
-    seen = 0
     typeable = 0
-    for shape in iter_shapes(tuple(sorted(ctx)), max_cxty):
-        seen += 1
-        p = principal_typing(shape, ctx)
-        if p is None:
-            continue
-        typeable += 1
-        count = assignment_count(p.binder_types, universe)
-        if count == 0:
-            continue
-        entries.append(ShapeEntry(print_term(shape), count, is_normal_form(shape)))
-        total += count
-    out = ShapeScan(tuple(entries), total, seen, typeable)
+    for n in range(1, max_cxty + 1):
+        for shape in _typed_shapes(n, env, names, u, binders):
+            typeable += 1
+            pattern = _pattern(binders, u)
+            count = counts.get(pattern)
+            if count is None:
+                count = counts[pattern] = assignment_count(pattern, universe)
+            if count:
+                entries.append(ShapeEntry(print_term(shape), count, is_normal_form(shape)))
+                total += count
+    out = ShapeScan(tuple(entries), total, _shape_total(len(ctx), max_cxty), typeable)
     _scan_cache[key] = out
     return out
 

@@ -737,5 +737,9 @@ def run_suite(name: str, config: SuiteConfig, samples: Optional[int] = None) -> 
     }.get(name)
     if sampled is not None:
         # None keeps the suite's own default sample count
-        return sampled(config) if samples is None else sampled(config, samples)
+        if samples is None:
+            return sampled(config)
+        if samples < 0:
+            raise ValueError(f"samples must be at least 0, got {samples}")
+        return sampled(config, samples)
     raise ValueError(f"unknown suite {name!r} (expected one of {', '.join(SUITES)})")

@@ -3,14 +3,24 @@
 These deliberately avoid the production code paths they validate:
 brute_eta does an explicit path search with no memoization,
 all_annotated_trees generates every tree and filters by the type
-checker instead of enumerating goal-directed, and two_pass_canonical
-collects the free names before it renames a single binder.
+checker instead of enumerating goal-directed, generate_and_filter_scan
+builds every untyped shape and types each one from scratch, and
+two_pass_canonical collects the free names before it renames a single
+binder.
 """
 
 from __future__ import annotations
 
-from lambdamu.corpus import enumerate_types
-from lambdamu.reduction import one_step_reducts
+from lambdamu.corpus import (
+    ShapeEntry,
+    ShapeScan,
+    assignment_count,
+    enumerate_types,
+    iter_shapes,
+    principal_typing,
+)
+from lambdamu.reduction import is_normal_form, one_step_reducts
+from lambdamu.syntax import print_term
 from lambdamu.terms import APP, LAM, MU, VAR, free_vars
 from lambdamu.typecheck import TypeCheckError, infer
 
@@ -73,6 +83,26 @@ def generate_and_filter(ctx: dict, goal, max_cxty: int, lgt_bound: int):
             except TypeCheckError:
                 pass
     return out
+
+
+def generate_and_filter_scan(ctx: dict, max_cxty: int, lgt_bound: int) -> ShapeScan:
+    """shape_scan by generate and filter: every untyped shape from
+    iter_shapes, typed from scratch by principal_typing, its
+    annotations counted by assignment_count."""
+    universe = enumerate_types(lgt_bound)
+    entries = []
+    total = seen = typeable = 0
+    for shape in iter_shapes(tuple(sorted(ctx)), max_cxty):
+        seen += 1
+        p = principal_typing(shape, ctx)
+        if p is None:
+            continue
+        typeable += 1
+        count = assignment_count(p.binder_types, universe)
+        if count:
+            entries.append(ShapeEntry(print_term(shape), count, is_normal_form(shape)))
+            total += count
+    return ShapeScan(tuple(entries), total, seen, typeable)
 
 
 def two_pass_canonical(t):

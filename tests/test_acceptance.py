@@ -2,9 +2,9 @@
 
 The corpus is every well-typed term with cxty <= 11 and binder
 annotations of lgt <= 2, over the contexts {} and {v:bot}, at fuel
-100000.  Because the {}-corpus is exactly the v-free part of the
-{v:bot}-corpus (same binder naming), union sweeps iterate the wider
-corpus once.
+100000.  Each context is scanned on its own: the {}-corpus is the
+v-free part of the {v:bot}-corpus, but no sweep reads one scan for
+the other.
 
 Corpus-wide criteria run on the annotation-erased shape quotient:
 strong normalization, reduction length, graph shape and the

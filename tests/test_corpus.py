@@ -9,6 +9,7 @@ from lambdamu.corpus import (
     assignment_count,
     assignments,
     annotate_shape,
+    clear_scan_cache,
     count_typed_instances,
     enumerate_types,
     enumerate_typed_of_type,
@@ -20,9 +21,10 @@ from lambdamu.corpus import (
     sr_shape_sweep,
 )
 from lambdamu.syntax import format_type, parse_term, parse_type, print_term
-from lambdamu.terms import canonical, strip_annotations, term_size
+from lambdamu import corpus
+from lambdamu.terms import ARROW, VAR, canonical, strip_annotations, term_size
 from lambdamu.typecheck import TypeCheckError, check_subject_reduction, infer
-from oracles import generate_and_filter
+from oracles import generate_and_filter, generate_and_filter_scan
 
 BOT = "bot"
 
@@ -91,8 +93,6 @@ def test_shape_scan_matches_enumeration(ctx, max_cxty):
 def test_subcontext_view_agrees_with_direct_scan():
     # a wider scan in the cache must not change a narrower one, counters
     # included: each configuration is scanned on its own
-    from lambdamu.corpus import clear_scan_cache
-
     clear_scan_cache()
     direct = shape_scan({}, 5, 2)
     clear_scan_cache()
@@ -148,6 +148,83 @@ def test_shape_count_matches_direct_shape_enumeration():
     n = sum(1 for _ in iter_shapes(("v",), 6))
     scan = shape_scan({"v": BOT}, 6, 2)
     assert scan.shapes_seen == n
+
+
+@pytest.mark.parametrize(
+    "ctx", [{}, {"v": BOT}, {"f": (ARROW, BOT, BOT), "v": BOT}], ids=["empty", "v", "f_v"]
+)
+@pytest.mark.parametrize("lgt_bound", [0, 1, 2])
+def test_shape_scan_equals_generate_and_filter(ctx, lgt_bound):
+    """The type-directed scan keeps exactly the shapes, in the same
+    order and with the same counts, as typing every untyped shape."""
+    clear_scan_cache()
+    for max_cxty in range(1, 9):
+        assert shape_scan(ctx, max_cxty, lgt_bound) == generate_and_filter_scan(
+            ctx, max_cxty, lgt_bound
+        ), max_cxty
+
+
+def test_shape_scan_equals_generate_and_filter_at_size_9():
+    clear_scan_cache()
+    assert shape_scan({"v": BOT}, 9, 2) == generate_and_filter_scan({"v": BOT}, 9, 2)
+
+
+@pytest.mark.parametrize("free", [(), ("v",), ("f", "v")])
+def test_shape_total_counts_iter_shapes(free):
+    by_size = [0] * 9
+    for shape in iter_shapes(free, 8):
+        by_size[term_size(shape)] += 1
+    for max_size in range(1, 9):
+        assert corpus._shape_total(len(free), max_size) == sum(by_size[: max_size + 1])
+
+
+def test_typed_shapes_undo_every_binding():
+    """Once the generator is exhausted the unifier's substitution, its
+    trail and the binder list are empty again."""
+    u = corpus._Unifier()
+    binders: list = []
+    ctx = {"f": (ARROW, BOT, BOT), "v": BOT}
+    env = tuple(((VAR, x), ctx[x]) for x in sorted(ctx))
+    names = corpus._binder_names(set(ctx), 8, "b")
+    for n in range(1, 8):
+        shapes = list(corpus._typed_shapes(n, env, names, u, binders))
+        assert shapes
+        assert (u.sub, u.trail, binders) == ({}, [], [])
+
+
+def test_unifier_undo_returns_to_the_mark():
+    u = corpus._Unifier()
+    a, b = u.fresh(), u.fresh()
+    assert u.unify(a, (ARROW, b, BOT))
+    m = u.mark()
+    assert u.unify(b, (ARROW, BOT, BOT))
+    assert not u.unify(a, (ARROW, BOT, BOT))  # binds nothing it keeps
+    u.undo(m)
+    assert u.resolve(a) == (ARROW, b, BOT)
+    u.undo(0)
+    assert (u.sub, u.trail) == ({}, [])
+
+
+def test_count_frees_its_memo_on_return():
+    """With the cyclic collector off, the DP's memo is gone once the
+    count returns: a memo kept by a reference cycle would stay."""
+    import gc
+    import tracemalloc
+
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert count_typed_instances({"v": BOT}, 7, 2) == 65475
+        held, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    # freed tuples stay allocated in the interpreter's free lists
+    assert held < peak / 4, (held, peak)
 
 
 def test_symbolic_sr_agrees_with_per_instance_checks():

@@ -352,6 +352,12 @@ def test_zero_samples_is_an_empty_report(suite):
     assert (report.instances, report.passes, report.failures) == (0, 0, ())
 
 
+@pytest.mark.parametrize("suite", ["l3", "l5", "l7"])
+def test_negative_samples_are_refused(suite):
+    with pytest.raises(ValueError, match="samples must be at least 0"):
+        run_suite(suite, SMALL, samples=-3)
+
+
 def test_suite_reports_are_deterministic():
     a = run_suite("l5", SMALL, samples=25)
     b = run_suite("l5", SMALL, samples=25)
