@@ -16,21 +16,24 @@ Three views of "every well-typed term within bounds":
   Generation of Lambda Terms", ICLP 2015 TC).  Per-shape instance
   counts come from counting the annotation assignments compatible with
   the shape's principal binder types, once per distinct pattern of
-  them.
+  them.  Each scan entry keeps its shape as a compact pre-order code,
+  decoded on demand, and the binder types the scan unified, so the
+  sweeps neither parse a shape nor type it again.
 
 Subject reduction does depend on annotations, so the sweep over the
 full corpus runs symbolically: shapes are annotated with their
-principal type expressions (metavariables allowed) and typed through
-the kernel's `check_subject_reduction`, whose equality checks are
-syntactic, so a success covers all concrete annotation instances at
-once.  A root that fails to type, or any reduct that fails to type or
-whose type differs from the root's, sends the shape to an exact
-per-instance check, which is the only source of reported violations.
+principal type expressions (metavariables allowed, as the scan
+recorded them) and typed through the kernel's
+`check_subject_reduction`, whose equality checks are syntactic, so a
+success covers all concrete annotation instances at once.  A root that
+fails to type, or any reduct that fails to type or whose type differs
+from the root's, sends the shape to an exact per-instance check, which
+is the only source of reported violations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional
 
 from .reduction import is_normal_form
@@ -420,9 +423,9 @@ def _match_into(expr, concrete, binding: dict) -> bool:
     )
 
 
-def _expr_metavars(expr, acc: set) -> None:
+def _expr_metavars(expr, acc: dict) -> None:
     if expr[0] == META:
-        acc.add(expr)
+        acc[expr] = None
     elif expr[0] == ARROW:
         _expr_metavars(expr[1], acc)
         _expr_metavars(expr[2], acc)
@@ -430,10 +433,13 @@ def _expr_metavars(expr, acc: set) -> None:
 
 def _components(exprs) -> list[list]:
     """Group binder expressions into connected components by shared
-    metavariables (assignments multiply across components)."""
+    metavariables (assignments multiply across components).  Each
+    expression's metavariables are visited in order of first occurrence,
+    so the components and their order do not depend on how the
+    metavariables are numbered."""
     mv_of = []
     for e in exprs:
-        acc: set = set()
+        acc: dict = {}
         _expr_metavars(e, acc)
         mv_of.append(acc)
     parent = list(range(len(exprs)))
@@ -527,14 +533,100 @@ def annotate_shape(shape: Term, binder_types) -> Term:
 # the shape scan
 
 
+# A shape code spells a shape in pre-order, one character per node: a
+# lambda, a mu, an application, or a leaf whose character indexes the
+# scan's name table.  A binder's name follows from its depth, so the
+# code does not spell it.
+_LAM_CODE, _MU_CODE, _APP_CODE = "\\", "^", "@"
+_LEAF_BASE = ord("a")  # the leaf of names[i] is chr(_LEAF_BASE + i)
+
+
+@dataclass(frozen=True, slots=True)
+class ShapeNames:
+    """The names one scan's shape codes refer to: the context's names
+    sorted, then the binder names by depth.  The binder at depth d is
+    named names[free + d]."""
+
+    names: tuple[str, ...]
+    free: int
+
+
+def _encode_shape(shape: Term, leaf_codes: Mapping[str, str]) -> str:
+    """The pre-order code of a shape whose binders are named by depth as
+    in the scan's name table; `leaf_codes` maps each name to its leaf
+    character."""
+    out = []
+    todo = [shape]
+    while todo:
+        t = todo.pop()
+        tag = t[0]
+        if tag == VAR:
+            out.append(leaf_codes[t[1]])
+        elif tag == APP:
+            out.append(_APP_CODE)
+            todo.append(t[2])
+            todo.append(t[1])
+        else:
+            out.append(_LAM_CODE if tag == LAM else _MU_CODE)
+            todo.append(t[3])
+    return "".join(out)
+
+
+_OPEN_APP = (APP,)
+
+
+def decode_shape(code: str, table: ShapeNames) -> Term:
+    """The shape a code spells: the term parse_term gives for its printed
+    text, with None annotations.  One loop over the code; `stack` holds
+    the nodes still open: a binder waiting for its body, an application
+    waiting for its function, or one waiting for its argument."""
+    names, free = table.names, table.free
+    stack: list = []
+    depth = 0
+    for c in code:
+        if c == _APP_CODE:
+            stack.append(_OPEN_APP)
+        elif c == _LAM_CODE or c == _MU_CODE:
+            stack.append((LAM if c == _LAM_CODE else MU, names[free + depth]))
+            depth += 1
+        else:
+            t = (VAR, names[ord(c) - _LEAF_BASE])
+            while stack:
+                frame = stack.pop()
+                if frame is _OPEN_APP:
+                    stack.append((APP, t))
+                    break
+                if frame[0] == APP:
+                    t = (APP, frame[1], t)
+                else:
+                    depth -= 1
+                    t = (frame[0], frame[1], None, t)
+            else:
+                return t
+    raise ValueError(f"incomplete shape code {code!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class ShapeEntry:
-    """One realizable erased shape: its text, how many annotated
-    instances it stands for, and whether it is a normal form."""
+    """One realizable erased shape: its pre-order code, how many
+    annotated instances it stands for, whether it is a normal form, its
+    principal binder types (pre-order, metavariables numbered in order
+    of first occurrence) and the scan's name table, which the code
+    indexes.  Entries with equal binder types share one tuple."""
 
-    text: str
+    code: str
     instances: int
     normal: bool
+    binder_types: tuple
+    table: ShapeNames = field(repr=False)
+
+    @property
+    def shape(self) -> Term:
+        return decode_shape(self.code, self.table)
+
+    @property
+    def text(self) -> str:
+        return print_term(self.shape)
 
 
 @dataclass(frozen=True)
@@ -594,10 +686,13 @@ def _typed_shapes(
     return gen(n, 0, env, u.fresh())
 
 
-def _pattern(exprs, u: _Unifier) -> tuple:
+def _pattern(exprs, u: _Unifier, cons: dict) -> tuple:
     """The resolved binder types, metavariables renumbered in order of
     first occurrence: shapes whose patterns are equal have equal
-    assignment counts."""
+    assignment counts.  Nodes are hash-consed through `cons`, which
+    lives for one scan: an arrow is keyed by the identities of its
+    interned parts (after Filliatre & Conchon, "Type-safe modular
+    hash-consing", ML Workshop 2006)."""
     renamed: dict = {}
 
     def walk(t):
@@ -605,11 +700,17 @@ def _pattern(exprs, u: _Unifier) -> tuple:
         if t[0] == META:
             got = renamed.get(t)
             if got is None:
-                got = renamed[t] = (META, len(renamed) + 1)
+                k = len(renamed) + 1
+                got = renamed[t] = cons.setdefault(k, (META, k))
             return got
         if t == BOT:
-            return t
-        return (ARROW, walk(t[1]), walk(t[2]))
+            return BOT
+        dom, cod = walk(t[1]), walk(t[2])
+        key = (id(dom), id(cod))
+        got = cons.get(key)
+        if got is None:
+            got = cons[key] = (ARROW, dom, cod)
+        return got
 
     return tuple(walk(e) for e in exprs)
 
@@ -647,17 +748,24 @@ def shape_scan(ctx: Mapping[str, TypeExpr], max_cxty: int, lgt_bound: int) -> Sh
     The shapes come from one type-directed generator over one undoable
     unifier, so untypeable shapes are never built.  Each shape's binder
     types, renamed in order of first occurrence, key a memo of
-    assignment counts for the scan, so each pattern is counted once.
-    `shapes_seen` counts what iter_shapes would yield, by recurrence."""
+    assignment counts for the scan, so each pattern is counted once;
+    every entry with that pattern keeps the memo's key as its binder
+    types.  Each entry keeps its shape as a pre-order code over one
+    name table for the scan.  `shapes_seen` counts what iter_shapes
+    would yield, by recurrence."""
     key = (tuple(sorted(ctx.items())), max_cxty, lgt_bound)
     got = _scan_cache.get(key)
     if got is not None:
         return got
     universe = enumerate_types(lgt_bound)
     names = _binder_names(set(ctx), max_cxty + 1, "b")
-    env = tuple(((VAR, x), ctx[x]) for x in sorted(ctx))
+    free = sorted(ctx)
+    table = ShapeNames(tuple(free + names), len(free))
+    leaf_codes = {name: chr(_LEAF_BASE + i) for i, name in enumerate(table.names)}
+    env = tuple(((VAR, x), ctx[x]) for x in free)
     u = _Unifier()
     binders: list = []
+    cons: dict = {}
     counts: dict = {}
     entries = []
     total = 0
@@ -665,12 +773,15 @@ def shape_scan(ctx: Mapping[str, TypeExpr], max_cxty: int, lgt_bound: int) -> Sh
     for n in range(1, max_cxty + 1):
         for shape in _typed_shapes(n, env, names, u, binders):
             typeable += 1
-            pattern = _pattern(binders, u)
-            count = counts.get(pattern)
-            if count is None:
-                count = counts[pattern] = assignment_count(pattern, universe)
+            pattern = _pattern(binders, u, cons)
+            got = counts.get(pattern)
+            if got is None:
+                got = counts[pattern] = (pattern, assignment_count(pattern, universe))
+            pattern, count = got
             if count:
-                entries.append(ShapeEntry(print_term(shape), count, is_normal_form(shape)))
+                entries.append(ShapeEntry(
+                    _encode_shape(shape, leaf_codes), count, is_normal_form(shape), pattern, table
+                ))
                 total += count
     out = ShapeScan(tuple(entries), total, _shape_total(len(ctx), max_cxty), typeable)
     _scan_cache[key] = out
@@ -681,14 +792,14 @@ def clear_scan_cache() -> None:
     _scan_cache.clear()
 
 
-def instances(shape: Term, principal: Principal, universe) -> Iterator[Term]:
+def instances(shape: Term, binder_types, universe) -> Iterator[Term]:
     """Every concrete annotated instance of `shape`: one per assignment
-    compatible with its principal typing, in deterministic order.  A
-    match against a concrete universe type binds every metavariable of
-    the expression, so the annotations are ground."""
-    exprs = principal.binder_types
-    for binding in assignments(exprs, universe):
-        yield annotate_shape(shape, [apply_type_subst(e, binding) for e in exprs])
+    compatible with its principal binder types, in deterministic order
+    (the same for any numbering of their metavariables).  A match
+    against a concrete universe type binds every metavariable of the
+    expression, so the annotations are ground."""
+    for binding in assignments(binder_types, universe):
+        yield annotate_shape(shape, [apply_type_subst(e, binding) for e in binder_types])
 
 
 def materialize_instance(shape: Term, ctx: Mapping[str, TypeExpr], lgt_bound: int) -> Optional[Term]:
@@ -697,7 +808,7 @@ def materialize_instance(shape: Term, ctx: Mapping[str, TypeExpr], lgt_bound: in
     p = principal_typing(shape, ctx)
     if p is None:
         return None
-    return next(instances(shape, p, enumerate_types(lgt_bound)), None)
+    return next(instances(shape, p.binder_types, enumerate_types(lgt_bound)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -719,6 +830,7 @@ _FALLBACK_CAP = 65536
 
 def sr_shape_sweep(
     shape: Term,
+    binder_types,
     ctx: Mapping[str, TypeExpr],
     lgt_bound: int,
     fuel: int = 100000,
@@ -726,20 +838,20 @@ def sr_shape_sweep(
     """Verify type preservation along every reduction edge of every
     annotated instance of `shape`, symbolically where possible.
 
-    The shape is annotated with its principal binder expressions and
-    typed with `check_subject_reduction`.  Metavariables compare by
-    syntactic equality, so a report without violations holds in every
-    concrete instance.  When the report has violations, or the root
-    fails to type, the shape falls back to checking its concrete
+    `binder_types` is the shape's principal typing under `ctx`: one
+    type expression per binder in pre-order, as `ShapeEntry.binder_types`
+    or `principal_typing(shape, ctx).binder_types` give it; how its
+    metavariables are numbered does not matter.  The shape is annotated
+    with them and typed with `check_subject_reduction`.  Metavariables
+    compare by syntactic equality, so a report without violations holds
+    in every concrete instance.  When the report has violations, or the
+    root fails to type, the shape falls back to checking its concrete
     instances one by one, so every violation reported names a concrete
     instance.
     """
     result = SrSweepResult(0, 0, 0, [])
-    p = principal_typing(shape, ctx)
-    if p is None:
-        return result
     try:
-        report = check_subject_reduction(ctx, annotate_shape(shape, p.binder_types), fuel)
+        report = check_subject_reduction(ctx, annotate_shape(shape, binder_types), fuel)
     except TypeCheckError:
         report = None
     if report is not None:
@@ -747,14 +859,14 @@ def sr_shape_sweep(
         if report.ok:
             result.complete = report.complete
             return result
-    _fallback_concrete(shape, p, ctx, enumerate_types(lgt_bound), fuel, result)
+    _fallback_concrete(shape, binder_types, ctx, enumerate_types(lgt_bound), fuel, result)
     return result
 
 
-def _fallback_concrete(shape, p, ctx, universe, fuel, result) -> None:
+def _fallback_concrete(shape, binder_types, ctx, universe, fuel, result) -> None:
     """Last resort: check each concrete instance of the shape."""
     result.fallbacks += 1
-    for n, inst in enumerate(instances(shape, p, universe)):
+    for n, inst in enumerate(instances(shape, binder_types, universe)):
         if n == _FALLBACK_CAP:
             result.violations.append((print_term(inst), "fallback instance cap exceeded"))
             return

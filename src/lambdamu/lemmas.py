@@ -435,12 +435,14 @@ def _finish(
 
 def _sweep(suite: str, config: SuiteConfig, judge, catalog=()) -> LemmaReport:
     """The corpus loop of thm8, sr and l4.  Each redex-bearing shape is
-    parsed and explored once (normal forms hold in every suite), then
-    judged: `judge(term, status, fail)` returns None when the term holds,
-    UNDECIDED when its instances leave the count, or a reason that fails
-    each of its concrete instances; `fail(term_text, reason)` records
-    one concrete failure found by the judge itself.  The `catalog` terms
-    (name, term) are judged the same way, each one instance."""
+    decoded from its scan entry and explored once (normal forms hold in
+    every suite), then judged: `judge(term, binder_types, status, fail)`
+    gets the entry's principal binder types and returns None when the
+    term holds, UNDECIDED when its instances leave the count, or a
+    reason that fails each of its concrete instances; `fail(term_text,
+    reason)` records one concrete failure found by the judge itself.
+    The `catalog` terms (name, term) are judged the same way, each one
+    instance, with binder types None."""
     started = time.perf_counter()
     ctx = config.context_dict
     ctx_str = print_context(ctx)
@@ -458,21 +460,21 @@ def _sweep(suite: str, config: SuiteConfig, judge, catalog=()) -> LemmaReport:
     for entry in scan.entries:
         if entry.normal:
             continue
-        shape = parse_term(entry.text)
+        shape = entry.shape
         st = explore_sn(shape, config.fuel)
         if isinstance(st, StronglyNormalizing):
             max_eta = max(max_eta, st.eta)
             max_nodes = max(max_nodes, st.graph_nodes)
-        verdict = judge(shape, st, fail)
+        verdict = judge(shape, entry.binder_types, st, fail)
         if verdict == UNDECIDED:
             instances -= entry.instances
         elif verdict is not None:
             # expected never: one entry per concrete instance, capped
-            p = corpus.principal_typing(shape, ctx)
-            for inst in corpus.instances(shape, p, enumerate_types(config.lgt_bound)):
+            universe = enumerate_types(config.lgt_bound)
+            for inst in corpus.instances(shape, entry.binder_types, universe):
                 fail(print_term(inst), verdict)
     for name, term in catalog:
-        verdict = judge(term, explore_sn(term, config.fuel), fail)
+        verdict = judge(term, None, explore_sn(term, config.fuel), fail)
         if verdict == UNDECIDED:
             continue
         instances += 1
@@ -491,7 +493,7 @@ def run_sn_suite(config: SuiteConfig) -> LemmaReport:
     shape (reduction never reads annotations); instance counts are
     exact."""
 
-    def judge(shape: Term, st, fail) -> Optional[str]:
+    def judge(shape: Term, binder_types, st, fail) -> Optional[str]:
         if isinstance(st, NotSN):
             return f"NotSN cycle_length={len(st.cycle)}"
         if isinstance(st, Unknown):
@@ -508,8 +510,8 @@ def run_subject_reduction_suite(config: SuiteConfig) -> LemmaReport:
     covers all annotation assignments."""
     ctx = config.context_dict
 
-    def judge(shape: Term, st, fail) -> Optional[str]:
-        res = corpus.sr_shape_sweep(shape, ctx, config.lgt_bound, config.fuel)
+    def judge(shape: Term, binder_types, st, fail) -> Optional[str]:
+        res = corpus.sr_shape_sweep(shape, binder_types, ctx, config.lgt_bound, config.fuel)
         for term_text, reason in res.violations:
             fail(term_text, reason)
         return None if res.complete else f"Unknown nodes_visited={res.nodes}"
@@ -538,7 +540,7 @@ def run_decomposition_suite(config: SuiteConfig) -> LemmaReport:
     committed catalog.  Undecided instances are excluded from pass/fail.
     """
 
-    def judge(term: Term, st, fail) -> Optional[str]:
+    def judge(term: Term, binder_types, st, fail) -> Optional[str]:
         res = check_sn_decomposition(term, config.fuel)
         if res.status == FAILS:
             return res.detail

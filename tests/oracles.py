@@ -4,15 +4,16 @@ These deliberately avoid the production code paths they validate:
 brute_eta does an explicit path search with no memoization,
 all_annotated_trees generates every tree and filters by the type
 checker instead of enumerating goal-directed, generate_and_filter_scan
-builds every untyped shape and types each one from scratch, and
-two_pass_canonical collects the free names before it renames a single
-binder.
+builds every untyped shape, types each one from scratch and spells its
+code with a recursive encoder of its own, and two_pass_canonical
+collects the free names before it renames a single binder.
 """
 
 from __future__ import annotations
 
 from lambdamu.corpus import (
     ShapeEntry,
+    ShapeNames,
     ShapeScan,
     assignment_count,
     enumerate_types,
@@ -20,8 +21,7 @@ from lambdamu.corpus import (
     principal_typing,
 )
 from lambdamu.reduction import is_normal_form, one_step_reducts
-from lambdamu.syntax import print_term
-from lambdamu.terms import APP, LAM, MU, VAR, free_vars
+from lambdamu.terms import APP, ARROW, LAM, MU, VAR, free_vars, fresh_name
 from lambdamu.typecheck import TypeCheckError, infer
 
 
@@ -88,11 +88,15 @@ def generate_and_filter(ctx: dict, goal, max_cxty: int, lgt_bound: int):
 def generate_and_filter_scan(ctx: dict, max_cxty: int, lgt_bound: int) -> ShapeScan:
     """shape_scan by generate and filter: every untyped shape from
     iter_shapes, typed from scratch by principal_typing, its
-    annotations counted by assignment_count."""
+    annotations counted by assignment_count, its code spelt by
+    `_shape_code` and its binder types renamed by `_first_occurrence`."""
     universe = enumerate_types(lgt_bound)
+    free = sorted(ctx)
+    binders = [fresh_name(f"b{d}", ctx) for d in range(max_cxty + 1)]
+    table = ShapeNames(tuple(free + binders), len(free))
     entries = []
     total = seen = typeable = 0
-    for shape in iter_shapes(tuple(sorted(ctx)), max_cxty):
+    for shape in iter_shapes(tuple(free), max_cxty):
         seen += 1
         p = principal_typing(shape, ctx)
         if p is None:
@@ -100,9 +104,37 @@ def generate_and_filter_scan(ctx: dict, max_cxty: int, lgt_bound: int) -> ShapeS
         typeable += 1
         count = assignment_count(p.binder_types, universe)
         if count:
-            entries.append(ShapeEntry(print_term(shape), count, is_normal_form(shape)))
+            entries.append(ShapeEntry(
+                _shape_code(shape, table.names), count, is_normal_form(shape),
+                _first_occurrence(p.binder_types), table,
+            ))
             total += count
     return ShapeScan(tuple(entries), total, seen, typeable)
+
+
+def _shape_code(t, names) -> str:
+    """Pre-order, one character per node: a backslash for a lambda, "^"
+    for a mu, "@" for an application, chr(ord("a") + i) for a leaf
+    named names[i]."""
+    if t[0] == VAR:
+        return chr(ord("a") + names.index(t[1]))
+    if t[0] == APP:
+        return "@" + _shape_code(t[1], names) + _shape_code(t[2], names)
+    return ("\\" if t[0] == LAM else "^") + _shape_code(t[3], names)
+
+
+def _first_occurrence(exprs) -> tuple:
+    """Metavariables renumbered 1, 2, ... in order of first occurrence."""
+    renamed: dict = {}
+
+    def walk(t):
+        if t[0] == "?":
+            return renamed.setdefault(t, ("?", len(renamed) + 1))
+        if t[0] == ARROW:
+            return (ARROW, walk(t[1]), walk(t[2]))
+        return t
+
+    return tuple(walk(e) for e in exprs)
 
 
 def two_pass_canonical(t):

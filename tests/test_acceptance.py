@@ -119,7 +119,7 @@ def test_criterion_04_eta_drops_by_exactly_one_on_some_reduct():
     for entry in scan.entries:
         if entry.normal:
             continue
-        shape = parse_term(entry.text)
+        shape = entry.shape
         st = explore_sn(shape, FUEL)
         assert isinstance(st, StronglyNormalizing), entry.text
         etas = []
@@ -295,6 +295,7 @@ def test_criterion_10_parse_print_round_trip_is_exact():
     shapes_checked = 0
     for entry in scan.entries:
         shape = parse_term(entry.text)
+        assert shape == entry.shape
         assert parse_term(print_term(shape)) == shape
         annotated = materialize_instance(shape, V_CTX, LGT_BOUND)
         assert annotated is not None

@@ -2,14 +2,14 @@
 the program would only show as `layer absent` in a traced run and zero
 that layer's metrics.  These checks read its names without running it."""
 
-import dataclasses
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
 
 from lambdamu import analysis, lemmas
-from lambdamu.corpus import ShapeEntry
+from lambdamu.corpus import shape_scan
+from lambdamu.syntax import parse_term
 
 RUN = Path(__file__).resolve().parent.parent / "bench" / "run.py"
 
@@ -34,5 +34,8 @@ def test_every_benchmark_layer_is_a_callable_of_the_program():
 def test_names_the_benchmark_reads_directly():
     # the tracer wraps explore_sn where lemmas looks it up
     assert lemmas.explore_sn is analysis.explore_sn
-    fields = {f.name for f in dataclasses.fields(ShapeEntry)}
-    assert {"text", "normal", "instances"} <= fields
+    # the corpus workload reads `text`, `normal` and `instances` of a
+    # scan's entries, and parses the text
+    entry = next(e for e in shape_scan({"v": "bot"}, 4, 2).entries if not e.normal)
+    assert isinstance(entry.normal, bool) and entry.instances > 0
+    assert parse_term(entry.text) == entry.shape

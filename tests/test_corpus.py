@@ -86,7 +86,7 @@ def test_shape_scan_matches_enumeration(ctx, max_cxty):
     insts = list(enumerate_well_typed(ctx, max_cxty, 2))
     assert scan.total_instances == len(insts)
     from_instances = {canonical(strip_annotations(t)) for t, _ in insts}
-    from_scan = {canonical(parse_term(e.text)) for e in scan.entries}
+    from_scan = {canonical(e.shape) for e in scan.entries}
     assert from_scan == from_instances
 
 
@@ -139,7 +139,7 @@ def test_assignments_are_consistent_and_exhaustive():
 def test_materialize_instance_typechecks():
     scan = shape_scan({"v": BOT}, 5, 2)
     for entry in scan.entries[:200]:
-        inst = materialize_instance(parse_term(entry.text), {"v": BOT}, 2)
+        inst = materialize_instance(entry.shape, {"v": BOT}, 2)
         assert inst is not None
         infer({"v": BOT}, inst)  # must not raise
 
@@ -167,6 +167,69 @@ def test_shape_scan_equals_generate_and_filter(ctx, lgt_bound):
 def test_shape_scan_equals_generate_and_filter_at_size_9():
     clear_scan_cache()
     assert shape_scan({"v": BOT}, 9, 2) == generate_and_filter_scan({"v": BOT}, 9, 2)
+
+
+@pytest.mark.parametrize(
+    "ctx, max_cxty",
+    [({}, 8), ({"v": BOT}, 8), ({"f": (ARROW, BOT, BOT), "v": BOT}, 8), ({"v": BOT}, 9)],
+    ids=["empty-8", "v-8", "f_v-8", "v-9"],
+)
+def test_every_entry_decodes_to_the_term_its_text_parses_to(ctx, max_cxty):
+    for lgt_bound in (0, 1, 2) if max_cxty == 8 else (2,):
+        for entry in shape_scan(ctx, max_cxty, lgt_bound).entries:
+            assert parse_term(entry.text) == entry.shape, entry.code
+
+
+def test_decoding_a_deep_code_does_not_recurse():
+    depth = 5000
+    binders = tuple(f"b{d}" for d in range(depth))
+    t = corpus.decode_shape("\\" * depth + "a", corpus.ShapeNames(("v",) + binders, 1))
+    for name in binders:
+        assert t[:3] == ("lam", name, None)
+        t = t[3]
+    assert t == (VAR, "v")
+
+
+def _renumber(t, f):
+    if t[0] == "?":
+        return ("?", f(t[1]))
+    if t[0] == ARROW:
+        return (ARROW, _renumber(t[1], f), _renumber(t[2], f))
+    return t
+
+
+def test_assignment_order_does_not_depend_on_metavariable_numbering():
+    """Binder 3 joins the groups of binders 0 and 2 while binder 1 stands
+    alone: the components, and so the order of the assignments, must
+    not depend on which metavariable of binder 3 is looked at first."""
+    exprs = (("?", 1), ("?", 3), ("?", 2), (ARROW, ("?", 1), ("?", 2)))
+    universe = enumerate_types(2)
+
+    def listed(exprs):
+        return [
+            tuple(apply_type_subst(e, b) for e in exprs)
+            for b in assignments(exprs, universe)
+        ]
+
+    expected = listed(exprs)
+    assert len(expected) == 4 * 3
+    for f in (lambda k: 1000 - k, lambda k: k + 7, lambda k: 13 * k, lambda k: 5 - k):
+        assert listed(tuple(_renumber(e, f) for e in exprs)) == expected
+
+
+def test_instance_order_does_not_depend_on_metavariable_numbering():
+    """The SR fallback lists a shape's instances from the scan's binder
+    types; principal_typing numbers the same metavariables otherwise."""
+    ctx = {"f": (ARROW, BOT, BOT), "v": BOT}
+    universe = enumerate_types(2)
+    for entry in shape_scan(ctx, 6, 2).entries:
+        shape = entry.shape
+        expected = list(corpus.instances(shape, entry.binder_types, universe))
+        assert len(expected) == entry.instances
+        p = principal_typing(shape, ctx)
+        mirrored = tuple(_renumber(e, lambda k: 1000 - k) for e in p.binder_types)
+        for exprs in (p.binder_types, mirrored):
+            assert list(corpus.instances(shape, exprs, universe)) == expected, entry.text
 
 
 @pytest.mark.parametrize("free", [(), ("v",), ("f", "v")])
@@ -237,8 +300,8 @@ def test_symbolic_sr_agrees_with_per_instance_checks():
     for entry in scan.entries:
         if entry.normal:
             continue
-        shape = parse_term(entry.text)
-        res = sr_shape_sweep(shape, ctx, 2)
+        shape = entry.shape
+        res = sr_shape_sweep(shape, entry.binder_types, ctx, 2)
         assert not res.violations, (entry.text, res.violations)
         p = principal_typing(shape, ctx)
         for binding in assignments(p.binder_types, universe):
@@ -280,7 +343,8 @@ def test_sr_sweep_falls_back_to_concrete_instances(monkeypatch):
 
     monkeypatch.setattr(analysis, "one_step_reducts", with_stray)
     monkeypatch.setattr(reduction, "one_step_reducts", with_stray)
-    res = sr_shape_sweep(parse_term("(\\b0. b0) v"), {"v": BOT}, 2)
+    shape = parse_term("(\\b0. b0) v")
+    res = sr_shape_sweep(shape, principal_typing(shape, {"v": BOT}).binder_types, {"v": BOT}, 2)
     assert res.fallbacks == 1
     assert res.violations == [
         ("(\\b0:bot. b0) v", "(\\x0:bot. x0) v -> \\x0:bot. x0 has type bot -> bot")
@@ -296,6 +360,7 @@ def test_sr_fallback_cap_names_a_concrete_instance(monkeypatch):
         analysis, "one_step_reducts", lambda t: real(t) | {stray} if real(t) else set()
     )
     monkeypatch.setattr(corpus, "_FALLBACK_CAP", 0)
-    res = sr_shape_sweep(parse_term("(\\b0. b0) v"), {"v": BOT}, 2)
+    shape = parse_term("(\\b0. b0) v")
+    res = sr_shape_sweep(shape, principal_typing(shape, {"v": BOT}).binder_types, {"v": BOT}, 2)
     assert res.violations == [("(\\b0:bot. b0) v", "fallback instance cap exceeded")]
     infer({"v": BOT}, parse_term(res.violations[0][0]))  # must not raise

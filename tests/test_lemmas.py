@@ -304,6 +304,21 @@ def test_sr_suite_small():
     assert report.instances == sum(1 for _ in enumerate_well_typed(V_CTX, 5, 2))
 
 
+def test_corpus_sweeps_neither_parse_nor_retype_a_shape(monkeypatch):
+    """thm8 and sr decode each scan entry, and the SR judge takes the
+    binder types the scan unified."""
+    from lambdamu import corpus, lemmas
+
+    def refuse(*args):
+        raise AssertionError("called from a corpus sweep")
+
+    monkeypatch.setattr(lemmas, "parse_term", refuse)
+    monkeypatch.setattr(corpus, "principal_typing", refuse)
+    corpus.clear_scan_cache()
+    for suite in ("thm8", "sr"):
+        assert run_suite(suite, SMALL).ok
+
+
 def test_sr_suite_reports_cut_graphs_per_concrete_instance():
     """At fuel 3 some graphs are cut: each such shape is reported once per
     concrete instance, as thm8 reports its Unknown verdicts."""

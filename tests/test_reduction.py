@@ -264,7 +264,7 @@ def _oracle_graph_roots(gen):
     for ctx in ({"v": "bot"}, {}):
         for entry in shape_scan(ctx, 7, 2).entries:
             if not entry.normal:
-                yield parse_term(entry.text), 1000
+                yield entry.shape, 1000
     for item in gen.typed_terms(1)[:60]:
         yield parse_term(item.text), 1000
     for name, term in non_sn_catalog():
