@@ -25,10 +25,12 @@ from .terms import (
     LAM,
     MU,
     VAR,
+    CanonicalTerm,
     Term,
     canonical,
     free_vars,
     fresh_name,
+    number_binders,
     substitute,
 )
 
@@ -80,30 +82,38 @@ def _redexes(t: Term) -> Iterator[tuple[list[tuple[str, Term]], Term]]:
     out of it.  The list is reused, so read it before drawing the next
     redex.
 
-    An explicit stack, so spines of any depth are walked without
-    recursion.  Steps are recorded, never recovered by comparing
-    children: substitution can share one object between both sides of
-    an application."""
+    Function sides and binder bodies are entered in a loop; only
+    arguments wait on an explicit stack, so spines and binder chains of
+    any depth are walked without recursion.  Steps are recorded, never
+    recovered by comparing children: substitution can share one object
+    between both sides of an application."""
     frames: list[tuple[str, Term]] = []
-    # (how many frames lead to the node's parent, the frame into the node, node)
+    # (how many frames lead to the argument's parent, the frame into the
+    # argument, argument)
     todo: list[tuple[int, Optional[tuple[str, Term]], Term]] = [(0, None, t)]
     while todo:
         depth, frame, node = todo.pop()
         del frames[depth:]
         if frame is not None:
             frames.append(frame)
-        tag = node[0]
-        if tag == APP:
-            fun, arg = node[1], node[2]
-            if fun[0] == LAM or fun[0] == MU:
-                yield frames, node
-            depth = len(frames)
-            if arg[0] != VAR:
-                todo.append((depth, ("arg", node), arg))
-            if fun[0] != VAR:
-                todo.append((depth, ("fun", node), fun))
-        elif tag != VAR and node[3][0] != VAR:
-            todo.append((len(frames), (tag, node), node[3]))
+        while True:
+            tag = node[0]
+            if tag == APP:
+                fun, arg = node[1], node[2]
+                fun_tag = fun[0]
+                if fun_tag == LAM or fun_tag == MU:
+                    yield frames, node
+                if arg[0] != VAR:
+                    todo.append((len(frames), ("arg", node), arg))
+                if fun_tag == VAR:
+                    break
+                frames.append(("fun", node))
+                node = fun
+            elif tag == VAR or node[3][0] == VAR:
+                break
+            else:
+                frames.append((tag, node))
+                node = node[3]
 
 
 def _contract_in(frames: list[tuple[str, Term]], redex: Term) -> Term:
@@ -154,8 +164,65 @@ def reduce_at(t: Term, path: Path) -> Term:
 def one_step_reducts(t: Term) -> set[Term]:
     """Canonical forms of all one-step reducts; alpha-duplicates collapse.
     One walk of t finds every redex; each reduct is rebuilt along the
-    path to its redex, so it shares every subterm off that path with t."""
+    path to its redex, so it shares every subterm off that path with t.
+
+    When t is a `CanonicalTerm`, each reduct is built canonical, and
+    marked so, without a walk of the whole reduct (`_canonical_reduct`);
+    any other t has each reduct put through `canonical`."""
+    if type(t) is CanonicalTerm:
+        return {_canonical_reduct(frames, redex) for frames, redex in _redexes(t)}
     return {canonical(_contract_in(frames, redex)) for frames, redex in _redexes(t)}
+
+
+def _canonical_reduct(frames: list[tuple[str, Term]], redex: Term) -> CanonicalTerm:
+    """canonical(_contract_in(frames, redex)) for a redex of a
+    `CanonicalTerm`, reached through `frames`.
+
+    The reduct's free names are among the term's, so none starts with x,
+    and its canonical form is its binders numbered in pre-order.  The
+    binders before the redex (above it, and left of its path) keep
+    their numbers.  The contractum is numbered from the redex's own
+    binder number k.  The arguments right of the path, which come after
+    the redex in pre-order, are renumbered only when the contractum
+    binds a different number of names than the redex did; the first
+    binder among them tells by its old number, so the redex's binders
+    are never counted."""
+    k = int(redex[1][1][1:])
+    # the binders above need no avoiding: each is an x<i>, and the fresh
+    # names of the mu rule start with y and z
+    t, end, _ = number_binders(contract_redex(redex), k)
+    # the new number minus the old one of the binders right of the path;
+    # None until an argument holding a binder is met
+    shift: Optional[int] = None
+    for step, node in reversed(frames):
+        if step == "fun":
+            arg = node[2]
+            if shift is None and arg[0] != VAR:
+                first = _first_binder(arg)
+                if first is not None:
+                    shift = end - first
+            if shift:
+                arg, end, _ = number_binders(arg, end)
+            t = (APP, t, arg)
+        elif step == "arg":
+            t = (APP, node[1], t)
+        else:
+            t = (step, node[1], node[2], t)
+    return CanonicalTerm(t)
+
+
+def _first_binder(t: Term) -> Optional[int]:
+    """The number of the first binder of a canonical t in pre-order, or
+    None when t binds nothing."""
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        while t[0] == APP:
+            todo.append(t[2])
+            t = t[1]
+        if t[0] != VAR:
+            return int(t[1][1:])
+    return None
 
 
 def head_reduce(t: Term) -> Optional[Term]:

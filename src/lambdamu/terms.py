@@ -66,12 +66,14 @@ def free_vars(t: Term) -> frozenset[str]:
 
 def term_size(t: Term) -> int:
     """Number of AST nodes (every var, lam, mu and app node counts 1)."""
-    # a loop down spines and binder chains; only arguments recurse
+    # a loop down spines and binder chains; only arguments that are not
+    # variables recurse
     n = 1
     tag = t[0]
     while tag != VAR:
         if tag == APP:
-            n += 1 + term_size(t[2])
+            arg = t[2]
+            n += 2 if arg[0] == VAR else 1 + term_size(arg)
             t = t[1]
         else:
             n += 1
@@ -152,6 +154,17 @@ def _subst(t: Term, subs: dict[str, Term]) -> Term:
 _NUMBERED: list[Term] = []
 
 
+class CanonicalTerm(tuple):
+    """A canonical form whose numbering is plain: its binders are x0,
+    x1, ... in pre-order and none of its free names starts with x.  It
+    is the same tuple, equal to it, hashed and printed like it; the type
+    only records what `canonical` found, so that `canonical` can return
+    it as it is and `reduction.one_step_reducts` can number its reducts
+    without walking them whole."""
+
+    __slots__ = ()
+
+
 def canonical(t: Term) -> Term:
     """The canonical representative of t's alpha-equivalence class.
 
@@ -159,12 +172,32 @@ def canonical(t: Term) -> Term:
     occur free anywhere in t.  Two terms are alpha-equivalent exactly
     when their canonical forms are equal; annotations take part in the
     comparison.
+
+    When no free name of t starts with x, nothing is skipped, and the
+    result is a `CanonicalTerm`; otherwise it is a plain tuple.  A
+    `CanonicalTerm` is returned as it is.
     """
+    if type(t) is CanonicalTerm:
+        return t
     # One pass numbers the binders and collects the free names; only
     # when a free name is one of the numbers handed out is the term
     # renamed again around its free names.
+    out, count, free = number_binders(t, 0)
+    if any(name.startswith("x") for name in free):
+        if not free.isdisjoint("x%d" % i for i in range(count)):
+            return _canonical_avoiding(t, free)
+        return out
+    return CanonicalTerm(out)
+
+
+def number_binders(t: Term, start: int) -> tuple[Term, int, set[str]]:
+    """t with its binders renamed x<start>, x<start+1>, ... in pre-order,
+    the number after the last one handed out, and t's free names.
+
+    Free names are kept as they are, so the result is alpha-equivalent
+    to t only when no free name is one of the numbers handed out."""
     free: set[str] = set()
-    count = 0
+    count = start
 
     def walk(t: Term, env: dict[str, Term]) -> Term:
         nonlocal count
@@ -192,8 +225,8 @@ def canonical(t: Term) -> Term:
                 out = (APP, out, walk(arg, env))
             return out
         binder = t[1]
-        if count == len(_NUMBERED):
-            _NUMBERED.append((VAR, "x%d" % count))
+        while count >= len(_NUMBERED):
+            _NUMBERED.append((VAR, "x%d" % len(_NUMBERED)))
         leaf = _NUMBERED[count]
         count += 1
         outer = env.get(binder)
@@ -206,10 +239,7 @@ def canonical(t: Term) -> Term:
         return (tag, leaf[1], t[2], body)
 
     out = walk(t, {})
-    if any(name.startswith("x") for name in free):
-        if not free.isdisjoint("x%d" % i for i in range(count)):
-            return _canonical_avoiding(t, free)
-    return out
+    return out, count, free
 
 
 def _canonical_avoiding(t: Term, avoid: set[str]) -> Term:

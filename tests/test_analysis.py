@@ -70,10 +70,14 @@ def test_eta_forwards_not_sn():
 
 
 def test_unknown_on_grower():
+    # the work allowance runs out first at every fuel; the counts follow
+    # from the sizes of the nodes the search visits
     grower = parse_term("(\\a. a a z) (\\a. a a z)")
-    st = explore_sn(grower, 100000)
-    assert isinstance(st, Unknown)
-    assert st.nodes_visited >= 1
+    for fuel, visited in ((300, 103), (2000, 276), (10_000, 626), (100_000, 1994)):
+        assert explore_sn(grower, fuel) == Unknown(visited)
+    for fuel, nodes in ((300, 103), (2000, 276)):
+        g = reduction_graph(grower, fuel)
+        assert not g.complete and len(g.nodes) == nodes
 
 
 def test_fuel_exhaustion_is_unknown():

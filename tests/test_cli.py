@@ -261,6 +261,30 @@ def test_graph_dot(capsys):
     assert '[root=true]' in out
 
 
+@pytest.mark.parametrize("text, sn, nodes, edges", [
+    ("(\\a. \\b. a) (\\c. x1)", "SN eta=1 nodes=2",
+     ["(\\x0. \\x2. x0) (\\x3. x1)", "\\x0. \\x2. x1"], [(0, 1)]),
+    ("(\\x. x) x0", "SN eta=1 nodes=2", ["(\\x1. x1) x0", "x0"], [(0, 1)]),
+    ("(\\a. \\b. \\c. a) x2 x5", "SN eta=2 nodes=3",
+     ["(\\x0. \\x1. \\x3. x0) x2 x5", "(\\x0. \\x1. x2) x5", "\\x0. x2"],
+     [(0, 1), (1, 2)]),
+    ("(mu a. a x1) (\\b. b)", "SN eta=2 nodes=3",
+     ["(mu x0. x0 x1) (\\x2. x2)", "mu x0. (\\x2. x0 (x2 (\\x3. x3))) x1",
+      "mu x0. x0 (x1 (\\x2. x2))"], [(0, 1), (1, 2)]),
+    ("\\a. x7", "SN eta=0 nodes=1", ["\\x0. x7"], []),
+])
+def test_free_numbered_names_print_as_before(capsys, text, sn, nodes, edges):
+    # binders are numbered around the free names x0, x1, ...
+    code, out, _ = run(capsys, "sn", text)
+    assert code == 0 and out == sn + "\n"
+    code, out, _ = run(capsys, "graph", text, "--format", "dot")
+    quoted = ['"' + n.replace("\\", "\\\\") + '"' for n in nodes]
+    lines = ["digraph reduction {", f"  {quoted[0]} [root=true];"]
+    lines += [f"  {q};" for q in quoted[1:]]
+    lines += [f"  {quoted[a]} -> {quoted[b]};" for a, b in edges]
+    assert code == 0 and out == "\n".join(lines + ["}"]) + "\n"
+
+
 def test_cut_graph_does_not_depend_on_hash_seed():
     # fuel 7 cuts this graph; which nodes survive the cut must not
     # follow set iteration order

@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -18,12 +20,15 @@ from lambdamu.reduction import (
     redex_positions,
     reduce_at,
     reduce_with_strategy,
+    _contract_in,
+    _redexes,
 )
 from lambdamu.analysis import reduction_graph
-from lambdamu.corpus import shape_scan
-from lambdamu.lemmas import non_sn_catalog
+from lambdamu.corpus import annotate_shape, shape_scan
+from lambdamu.lemmas import non_sn_catalog, random_typed_term
 from lambdamu.syntax import parse_term, print_term
 from lambdamu.terms import (
+    CanonicalTerm,
     _canonical_avoiding,
     alpha_eq,
     app,
@@ -287,3 +292,118 @@ def test_one_step_reducts_agree_with_the_benchmark_reducer():
     for node in nodes:
         ours = {reducer.parse(print_term(r)) for r in one_step_reducts(node)}
         assert ours == reducer.reducts(reducer.parse(print_term(node))), print_term(node)
+
+
+# ---- reducts of a canonical node are built canonical ----------------------
+
+
+def _slow_reducts(t):
+    """The reducts as any term gets them: each one put through canonical."""
+    return {canonical(_contract_in(frames, redex)) for frames, redex in _redexes(t)}
+
+
+def _assert_built_canonical(node):
+    root = canonical(node)
+    reducts = one_step_reducts(root)
+    assert reducts == _slow_reducts(node), print_term(node)
+    for r in reducts:
+        # marked exactly when the numbering is plain
+        assert type(r) is type(canonical(tuple(r))), print_term(r)
+
+
+def test_reducts_of_a_canonical_node_equal_the_canonical_forms_of_reducts():
+    roots = []
+    for entry in shape_scan({"v": "bot"}, 7, 2).entries:
+        if not entry.normal:
+            roots.append(entry.shape)
+            roots.append(annotate_shape(entry.shape, entry.binder_types))
+    roots.extend(term for _, term in non_sn_catalog())
+    ctx = {"v": "bot", "f": ("->", "bot", "bot")}
+    for seed in range(300):
+        inst = random_typed_term(ctx, "bot", 30, seed)
+        if inst is not None:
+            roots.append(inst.term)
+    nodes = set()
+    for root in roots:
+        nodes |= reduction_graph(root, 300).nodes
+    assert sum(type(n) is CanonicalTerm for n in nodes) > 2000
+    for node in nodes:
+        _assert_built_canonical(node)
+
+
+@given(terms)
+@settings(max_examples=200)
+def test_reducts_of_any_term_equal_the_canonical_forms_of_reducts(t):
+    _assert_built_canonical(t)
+
+
+@pytest.mark.parametrize("text, reduct", [
+    # the contractum binds one name fewer than the redex did
+    ("(\\a. a) v (\\q. q)", "v (\\x0. x0)"),
+    ("(\\a. \\b. a) v (\\q. q) (\\r. r)", "(\\x0. v) (\\x1. x1) (\\x2. x2)"),
+    # one more: the mu rule's two fresh binders replace the redex's one
+    ("(mu a. a (\\b. b)) (\\c. c) (\\d. d)",
+     "(mu x0. (\\x1. x0 (x1 (\\x2. x2))) (\\x3. x3)) (\\x4. x4)"),
+    # two copies of the argument's binder
+    ("f ((\\a. a a) (\\b. b)) (\\c. c)", "f ((\\x0. x0) (\\x1. x1)) (\\x2. x2)"),
+])
+def test_arguments_right_of_the_redex_are_renumbered(text, reduct):
+    root = canonical(parse_term(text))
+    assert type(root) is CanonicalTerm
+    (got,) = one_step_reducts(root)
+    assert type(got) is CanonicalTerm
+    assert print_term(got) == reduct
+    assert got == canonical(parse_term(reduct))
+
+
+@pytest.mark.parametrize("text, reducts", [
+    ("(\\a. \\b. a) (\\c. x1)", ["\\x0. \\x2. x1"]),
+    ("(\\x. x) x0", ["x0"]),
+    ("(\\a. \\b. \\c. a) x2 x5", ["(\\x0. \\x1. x2) x5"]),
+    ("(mu a. a x1) (\\b. b)", ["mu x0. (\\x2. x0 (x2 (\\x3. x3))) x1"]),
+    # no free name collides with a binder's number, yet it starts with x
+    ("\\a. x7", []),
+])
+def test_a_free_numbered_name_keeps_a_term_off_the_built_path(text, reducts):
+    root = canonical(parse_term(text))
+    assert type(root) is tuple
+    got = one_step_reducts(root)
+    assert sorted(print_term(r) for r in got) == reducts
+    assert got == _slow_reducts(root)
+
+
+def test_reducts_of_deep_spines_at_the_default_recursion_limit():
+    # one fresh process at the default limit: (\a. a) v w ... w, and the
+    # same spine with \q. q arguments, whose reduct renumbers every one
+    import lambdamu
+
+    src = str(Path(lambdamu.__file__).resolve().parent.parent)
+    code = (
+        "from lambdamu.reduction import one_step_reducts\n"
+        "from lambdamu.terms import canonical\n"
+        "n = 10000\n"
+        "for arg in (('var', 'w'), ('lam', 'q', None, ('var', 'q'))):\n"
+        "    s = ('app', ('lam', 'a', None, ('var', 'a')), ('var', 'v'))\n"
+        "    for _ in range(n):\n"
+        "        s = ('app', s, arg)\n"
+        "    (r,) = one_step_reducts(canonical(s))\n"
+        "    args = []\n"
+        "    while r[0] == 'app':\n"
+        "        args.append(r[2])\n"
+        "        r = r[1]\n"
+        "    args.reverse()\n"
+        "    if arg[0] == 'var':\n"
+        "        want = [arg] * n\n"
+        "    else:\n"
+        "        want = [('lam', 'x%d' % i, None, ('var', 'x%d' % i)) for i in range(n)]\n"
+        "    print(r == ('var', 'v'), args == want)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr[-500:]
+    assert done.stdout == "True True\nTrue True\n"

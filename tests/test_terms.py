@@ -1,8 +1,10 @@
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from conftest import annots, names, terms
 from lambdamu.terms import (
+    CanonicalTerm,
     alpha_eq,
     app,
     canonical,
@@ -137,6 +139,40 @@ def test_canonical_skips_free_numbered_names():
     )
     got = canonical(lam("a", None, mu("b", None, app(var("x1"), var("b")))))
     assert got == lam("x0", None, mu("x2", None, app(var("x1"), var("x2"))))
+
+
+def test_a_marked_canonical_form_behaves_as_its_tuple():
+    t = app(lam("a", None, app(var("a"), var("v"))), lam("b", "bot", var("b")))
+    marked = canonical(t)
+    plain = lam("x0", None, app(var("x0"), var("v")))
+    plain = app(plain, lam("x1", "bot", var("x1")))
+    assert type(marked) is CanonicalTerm and type(plain) is tuple
+    assert marked == plain and plain == marked and not marked != plain
+    assert hash(marked) == hash(plain)
+    assert repr(marked) == repr(plain) and str(marked) == str(plain)
+    assert print_term(marked) == print_term(plain)
+    # each finds the other in dicts and sets, whichever went in
+    assert {plain: 1}[marked] == 1 and {marked: 1}[plain] == 1
+    assert plain in {marked} and marked in {plain} and len({marked, plain}) == 1
+    assert canonical(marked) is marked and canonical(plain) == marked
+    assert not hasattr(marked, "__dict__")
+
+
+@pytest.mark.parametrize("t, plain", [
+    (lam("a", None, var("a")), True),
+    (lam("a", None, var("v")), True),
+    (lam("a", None, var("xs")), False),  # any free name starting with x
+    (lam("a", None, var("x7")), False),
+    (lam("a", None, var("x0")), False),  # renumbered around x0
+])
+def test_canonical_marks_exactly_the_plain_numberings(t, plain):
+    assert (type(canonical(t)) is CanonicalTerm) == plain
+
+
+@given(terms)
+def test_canonical_marks_a_term_without_free_names_starting_with_x(m):
+    plain = not any(name.startswith("x") for name in free_vars(m))
+    assert (type(canonical(m)) is CanonicalTerm) == plain
 
 
 @given(numbered_terms)
