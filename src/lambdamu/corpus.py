@@ -16,9 +16,10 @@ Three views of "every well-typed term within bounds":
   Generation of Lambda Terms", ICLP 2015 TC).  Per-shape instance
   counts come from counting the annotation assignments compatible with
   the shape's principal binder types, once per distinct pattern of
-  them.  Each scan entry keeps its shape as a compact pre-order code,
-  decoded on demand, and the binder types the scan unified, so the
-  sweeps neither parse a shape nor type it again.
+  them.  The generator spells each shape as the compact pre-order code
+  its scan entry keeps, decoded on demand, and the entry keeps the
+  binder types the scan unified, so the sweeps neither parse a shape
+  nor type it again.
 
 Subject reduction does depend on annotations, so the sweep over the
 full corpus runs symbolically: shapes are annotated with their
@@ -36,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional
 
-from .reduction import is_normal_form
 from .syntax import print_term
 from .terms import (
     APP,
@@ -52,10 +52,6 @@ from .terms import (
 from .typecheck import TypeCheckError, check_subject_reduction, connective_count
 
 META = "?"
-
-
-def is_metavar(t) -> bool:
-    return isinstance(t, tuple) and t[0] == META
 
 
 # ---------------------------------------------------------------------------
@@ -505,10 +501,10 @@ def assignments(binder_exprs, universe) -> Iterator[dict]:
 
 
 def apply_type_subst(expr, binding: dict):
-    if is_metavar(expr):
+    if expr[0] == META:
         got = binding.get(expr)
         return expr if got is None else got
-    if isinstance(expr, tuple) and expr[0] == ARROW:
+    if expr[0] == ARROW:
         return (ARROW, apply_type_subst(expr[1], binding), apply_type_subst(expr[2], binding))
     return expr
 
@@ -549,27 +545,6 @@ class ShapeNames:
 
     names: tuple[str, ...]
     free: int
-
-
-def _encode_shape(shape: Term, leaf_codes: Mapping[str, str]) -> str:
-    """The pre-order code of a shape whose binders are named by depth as
-    in the scan's name table; `leaf_codes` maps each name to its leaf
-    character."""
-    out = []
-    todo = [shape]
-    while todo:
-        t = todo.pop()
-        tag = t[0]
-        if tag == VAR:
-            out.append(leaf_codes[t[1]])
-        elif tag == APP:
-            out.append(_APP_CODE)
-            todo.append(t[2])
-            todo.append(t[1])
-        else:
-            out.append(_LAM_CODE if tag == LAM else _MU_CODE)
-            todo.append(t[3])
-    return "".join(out)
 
 
 _OPEN_APP = (APP,)
@@ -637,12 +612,12 @@ class ShapeScan:
     typeable: int
 
 
-def _typed_shapes(
-    n: int, env: tuple, names: list[str], u: _Unifier, binders: list
-) -> Iterator[Term]:
-    """The shapes of exactly n nodes that `_shapes_exact` yields and that
-    have a simple typing, in the same order.  `env` holds one
-    ((VAR, name), type) pair per name in scope.
+def _typed_shapes(n: int, env: tuple, u: _Unifier, binders: list) -> Iterator[str]:
+    """The codes of the shapes of exactly n nodes that `_shapes_exact`
+    yields and that have a simple typing, in the same order.  `env`
+    holds one (leaf character, type) pair per name in scope, in the
+    order of the scan's name table, so a binder's leaf is the character
+    after the last one in scope.
 
     A goal type goes down the shape and each variable leaf is unified
     with its goal, so a subtree stops as soon as its constraints fail.
@@ -650,7 +625,7 @@ def _typed_shapes(
     `binders` its binder types in pre-order; each level undoes its own
     bindings and pops its own binders before it moves on."""
 
-    def gen(n: int, depth: int, env: tuple, goal) -> Iterator[Term]:
+    def gen(n: int, env: tuple, goal) -> Iterator[str]:
         if n == 1:
             for leaf, ty in env:
                 m = u.mark()
@@ -658,7 +633,7 @@ def _typed_shapes(
                     yield leaf
                 u.undo(m)
             return
-        b = names[depth]
+        b = chr(_LEAF_BASE + len(env))
         goal = u.find(goal)
         if goal != BOT:
             m = u.mark()
@@ -668,22 +643,23 @@ def _typed_shapes(
             else:
                 dom, cod = goal[1], goal[2]
             binders.append(dom)
-            for body in gen(n - 1, depth + 1, env + (((VAR, b), dom),), cod):
-                yield (LAM, b, None, body)
+            for body in gen(n - 1, env + ((b, dom),), cod):
+                yield _LAM_CODE + body
             binders.pop()
             u.undo(m)
         # a mu binder is annotated with the term's own type
         binders.append(goal)
-        for body in gen(n - 1, depth + 1, env + (((VAR, b), (ARROW, goal, BOT)),), BOT):
-            yield (MU, b, None, body)
+        for body in gen(n - 1, env + ((b, (ARROW, goal, BOT)),), BOT):
+            yield _MU_CODE + body
         binders.pop()
         for n1 in range(1, n - 1):
             dom = u.fresh()
-            for fun in gen(n1, depth, env, (ARROW, dom, goal)):
-                for arg in gen(n - 1 - n1, depth, env, dom):
-                    yield (APP, fun, arg)
+            for fun in gen(n1, env, (ARROW, dom, goal)):
+                fun = _APP_CODE + fun
+                for arg in gen(n - 1 - n1, env, dom):
+                    yield fun + arg
 
-    return gen(n, 0, env, u.fresh())
+    return gen(n, env, u.fresh())
 
 
 def _pattern(exprs, u: _Unifier, cons: dict) -> tuple:
@@ -746,13 +722,15 @@ def shape_scan(ctx: Mapping[str, TypeExpr], max_cxty: int, lgt_bound: int) -> Sh
     configuration.
 
     The shapes come from one type-directed generator over one undoable
-    unifier, so untypeable shapes are never built.  Each shape's binder
-    types, renamed in order of first occurrence, key a memo of
+    unifier, which spells each typeable shape as its pre-order code
+    over one name table for the scan and builds no term.  Each shape's
+    binder types, renamed in order of first occurrence, key a memo of
     assignment counts for the scan, so each pattern is counted once;
     every entry with that pattern keeps the memo's key as its binder
-    types.  Each entry keeps its shape as a pre-order code over one
-    name table for the scan.  `shapes_seen` counts what iter_shapes
-    would yield, by recurrence."""
+    types.  A shape is normal unless some application's code is
+    followed by a binder's, which is then the root of its function
+    part: a redex.  `shapes_seen` counts what iter_shapes would yield,
+    by recurrence."""
     key = (tuple(sorted(ctx.items())), max_cxty, lgt_bound)
     got = _scan_cache.get(key)
     if got is not None:
@@ -761,8 +739,7 @@ def shape_scan(ctx: Mapping[str, TypeExpr], max_cxty: int, lgt_bound: int) -> Sh
     names = _binder_names(set(ctx), max_cxty + 1, "b")
     free = sorted(ctx)
     table = ShapeNames(tuple(free + names), len(free))
-    leaf_codes = {name: chr(_LEAF_BASE + i) for i, name in enumerate(table.names)}
-    env = tuple(((VAR, x), ctx[x]) for x in free)
+    env = tuple((chr(_LEAF_BASE + i), ctx[x]) for i, x in enumerate(free))
     u = _Unifier()
     binders: list = []
     cons: dict = {}
@@ -771,7 +748,7 @@ def shape_scan(ctx: Mapping[str, TypeExpr], max_cxty: int, lgt_bound: int) -> Sh
     total = 0
     typeable = 0
     for n in range(1, max_cxty + 1):
-        for shape in _typed_shapes(n, env, names, u, binders):
+        for code in _typed_shapes(n, env, u, binders):
             typeable += 1
             pattern = _pattern(binders, u, cons)
             got = counts.get(pattern)
@@ -779,9 +756,8 @@ def shape_scan(ctx: Mapping[str, TypeExpr], max_cxty: int, lgt_bound: int) -> Sh
                 got = counts[pattern] = (pattern, assignment_count(pattern, universe))
             pattern, count = got
             if count:
-                entries.append(ShapeEntry(
-                    _encode_shape(shape, leaf_codes), count, is_normal_form(shape), pattern, table
-                ))
+                normal = _APP_CODE + _LAM_CODE not in code and _APP_CODE + _MU_CODE not in code
+                entries.append(ShapeEntry(code, count, normal, pattern, table))
                 total += count
     out = ShapeScan(tuple(entries), total, _shape_total(len(ctx), max_cxty), typeable)
     _scan_cache[key] = out

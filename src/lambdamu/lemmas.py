@@ -47,11 +47,11 @@ from .terms import (
     VAR,
     Term,
     TypeExpr,
-    _canonical_avoiding,
     canonical,
     free_occurrences,
     free_vars,
     fresh_name,
+    number_binders,
     strip_annotations,
     substitute,
     substitute_parallel,
@@ -241,7 +241,7 @@ def check_arg_substitution_inclusion(term: Term, x: str, n: Term) -> CheckResult
     arg(M), up to alpha, with M's binders first renamed apart from x and
     from the free variables of N (the variable convention), so that no
     part is substituted under a binder of M or captured by one."""
-    term = _canonical_avoiding(term, {x} | free_vars(n) | free_vars(term))
+    term = number_binders(term, 0, {x} | free_vars(n) | free_vars(term))[0]
     lhs = arg_terms(substitute(term, x, n))
     rhs = set(arg_terms(n))
     rhs.add(canonical(n))
@@ -285,14 +285,10 @@ def check_sn_decomposition(term: Term, fuel: int) -> CheckResult:
     )
 
 
-def check_application_to_variable(
-    term: Term, y: str, fuel: int, allow_free: bool = False
-) -> CheckResult:
-    """If M is SN then (M y) must be SN, with eta(M y) >= eta(M).
-
-    By default y must be fresh for M; allow_free permits y in M's free
-    variables (reported separately by callers that use it)."""
-    if not allow_free and y in free_vars(term):
+def check_application_to_variable(term: Term, y: str, fuel: int) -> CheckResult:
+    """If M is SN then (M y) must be SN, with eta(M y) >= eta(M).  y
+    must be fresh for M."""
+    if y in free_vars(term):
         raise ValueError(f"{y!r} occurs free in the term")
     st = explore_sn(term, fuel)
     if isinstance(st, Unknown):

@@ -64,12 +64,11 @@ class _Token(NamedTuple):
     end: int
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str, pos: int, n: int) -> list[_Token]:
+    """The tokens of text[pos:n], with offsets into the whole text."""
     tokens = []
-    pos = 0
-    n = len(text)
     while pos < n:
-        m = _TOKEN_RE.match(text, pos)
+        m = _TOKEN_RE.match(text, pos, n)
         if m is None:
             raise ParseError(f"unknown token {text[pos]!r}", text, pos, pos + 1)
         kind = m.lastgroup
@@ -88,9 +87,9 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, start: int, end: int):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = _tokenize(text, start, end)
         self.pos = 0
 
     def peek(self) -> _Token:
@@ -191,8 +190,10 @@ def parse_type(text: str) -> TypeExpr:
     return _parse(text, _Parser.type_, "type")
 
 
-def _parse(text: str, rule, what: str):
-    p = _Parser(text)
+def _parse(text: str, rule, what: str, start: int = 0, end: Optional[int] = None):
+    """Parse text[start:end] by `rule`; error spans point into the whole
+    text."""
+    p = _Parser(text, start, len(text) if end is None else end)
     try:
         t = rule(p)
     except RecursionError:
@@ -265,19 +266,25 @@ def print_context(ctx) -> str:
 
 
 def parse_context(text: str) -> dict[str, TypeExpr]:
-    """Parse comma-separated ``name:type`` pairs (the --context format)."""
+    """Parse comma-separated ``name:type`` pairs (the --context format).
+    Error spans point into `text`: at the whole pair when it has no
+    colon, at the name when the name is wrong, else into the type."""
     ctx: dict[str, TypeExpr] = {}
-    text = text.strip()
-    if not text:
+    if not text.strip():
         return ctx
+    start = 0
     for part in text.split(","):
-        if ":" not in part:
-            raise ParseError("expected name:type", part, 0, len(part))
-        name, tytext = part.split(":", 1)
-        name = name.strip()
+        end = start + len(part)
+        head, colon, _ = part.partition(":")
+        name = head.strip()
+        first = start + len(head) - len(head.lstrip())
+        last = first + len(name)
+        if not colon:
+            raise ParseError("expected name:type", text, first, last)
         if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_']*", name) or name in RESERVED:
-            raise ParseError(f"bad variable name {name!r}", part, 0, len(part))
+            raise ParseError(f"bad variable name {name!r}", text, first, last)
         if name in ctx:
-            raise ParseError(f"duplicate name {name!r}", part, 0, len(part))
-        ctx[name] = parse_type(tytext)
+            raise ParseError(f"duplicate name {name!r}", text, first, last)
+        ctx[name] = _parse(text, _Parser.type_, "type", start + len(head) + 1, end)
+        start = end + 1
     return ctx

@@ -14,7 +14,7 @@ constructor; not-A is represented as ("->", A, "bot").
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Union
+from typing import AbstractSet, Mapping, Optional, Union
 
 VAR = "var"
 LAM = "lam"
@@ -173,8 +173,10 @@ def canonical(t: Term) -> Term:
     when their canonical forms are equal; annotations take part in the
     comparison.
 
-    When no free name of t starts with x, nothing is skipped, and the
-    result is a `CanonicalTerm`; otherwise it is a plain tuple.  A
+    The numbering is `number_binders`'s, which avoids t's free names
+    only when one of them collides with a number it handed out.  When
+    no free name of t starts with x, nothing is skipped, and the result
+    is a `CanonicalTerm`; otherwise it is a plain tuple.  A
     `CanonicalTerm` is returned as it is.
     """
     if type(t) is CanonicalTerm:
@@ -185,17 +187,23 @@ def canonical(t: Term) -> Term:
     out, count, free = number_binders(t, 0)
     if any(name.startswith("x") for name in free):
         if not free.isdisjoint("x%d" % i for i in range(count)):
-            return _canonical_avoiding(t, free)
+            return number_binders(t, 0, free)[0]
         return out
     return CanonicalTerm(out)
 
 
-def number_binders(t: Term, start: int) -> tuple[Term, int, set[str]]:
+def number_binders(
+    t: Term, start: int, avoid: AbstractSet[str] = frozenset()
+) -> tuple[Term, int, set[str]]:
     """t with its binders renamed x<start>, x<start+1>, ... in pre-order,
-    the number after the last one handed out, and t's free names.
+    skipping the names in `avoid`, the number after the last one handed
+    out or skipped, and t's free names.
 
     Free names are kept as they are, so the result is alpha-equivalent
-    to t only when no free name is one of the numbers handed out."""
+    to t when no free name is one of the numbers handed out.  With
+    `avoid` holding t's free names it is canonical(t); with a wider
+    `avoid` it is t under the variable convention: alpha-equivalent,
+    every binder distinct and outside `avoid`."""
     free: set[str] = set()
     count = start
 
@@ -225,10 +233,13 @@ def number_binders(t: Term, start: int) -> tuple[Term, int, set[str]]:
                 out = (APP, out, walk(arg, env))
             return out
         binder = t[1]
-        while count >= len(_NUMBERED):
-            _NUMBERED.append((VAR, "x%d" % len(_NUMBERED)))
-        leaf = _NUMBERED[count]
-        count += 1
+        while True:
+            while count >= len(_NUMBERED):
+                _NUMBERED.append((VAR, "x%d" % len(_NUMBERED)))
+            leaf = _NUMBERED[count]
+            count += 1
+            if leaf[1] not in avoid:
+                break
         outer = env.get(binder)
         env[binder] = leaf
         body = walk(t[3], env)
@@ -240,41 +251,6 @@ def number_binders(t: Term, start: int) -> tuple[Term, int, set[str]]:
 
     out = walk(t, {})
     return out, count, free
-
-
-def _canonical_avoiding(t: Term, avoid: set[str]) -> Term:
-    """t with its binders renamed x0, x1, ... in pre-order, skipping the
-    names in `avoid`.  When `avoid` holds the free names of t this is
-    canonical(t), and for a wider `avoid` it is t under the variable
-    convention: alpha-equivalent, every binder distinct and outside
-    `avoid`."""
-    counter = [0]
-
-    def next_name() -> str:
-        while True:
-            name = "x%d" % counter[0]
-            counter[0] += 1
-            if name not in avoid:
-                return name
-
-    def walk(t: Term, env: dict[str, str]) -> Term:
-        tag = t[0]
-        if tag == VAR:
-            name = t[1]
-            return (VAR, env.get(name, name))
-        if tag == APP:
-            args = []
-            while t[0] == APP:
-                args.append(t[2])
-                t = t[1]
-            out = walk(t, env)
-            for arg in reversed(args):
-                out = (APP, out, walk(arg, env))
-            return out
-        name = next_name()
-        return (tag, name, t[2], walk(t[3], {**env, t[1]: name}))
-
-    return walk(t, {})
 
 
 def alpha_eq(a: Term, b: Term) -> bool:

@@ -96,6 +96,16 @@ def test_malformed_context_is_a_parse_error(capsys, command):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("context, message, span", [
+    ("v:bot, w", "expected name:type", (7, 8)),  # the pair without a colon
+    ("v:bot, w:bat", "expected a type", (9, 12)),  # the type text
+])
+def test_context_parse_errors_point_into_the_context_text(capsys, context, message, span):
+    code, out, err = run(capsys, "sn", "v", "--context", context)
+    assert code == 2 and out == ""
+    assert err == "parse error: %s (at bytes %d..%d)\n" % ((message,) + span)
+
+
 def test_sampler_without_inhabitants_is_a_usage_error():
     # no context and size 1: no term exists, so the l3 sampler must give up
     import lambdamu

@@ -247,11 +247,10 @@ def test_typed_shapes_undo_every_binding():
     u = corpus._Unifier()
     binders: list = []
     ctx = {"f": (ARROW, BOT, BOT), "v": BOT}
-    env = tuple(((VAR, x), ctx[x]) for x in sorted(ctx))
-    names = corpus._binder_names(set(ctx), 8, "b")
+    env = tuple((chr(corpus._LEAF_BASE + i), ctx[x]) for i, x in enumerate(sorted(ctx)))
     for n in range(1, 8):
-        shapes = list(corpus._typed_shapes(n, env, names, u, binders))
-        assert shapes
+        codes = list(corpus._typed_shapes(n, env, u, binders))
+        assert codes and all(len(code) == n for code in codes)
         assert (u.sub, u.trail, binders) == ({}, [], [])
 
 

@@ -235,8 +235,6 @@ def test_application_to_variable_rejects_non_sn():
 def test_application_to_variable_freshness_contract():
     with pytest.raises(ValueError):
         check_application_to_variable(parse_term("x y"), "y", 100)
-    res = check_application_to_variable(parse_term("x y"), "y", 100, allow_free=True)
-    assert res.holds
 
 
 def test_same_type_substitution_examples():

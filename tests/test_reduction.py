@@ -29,13 +29,13 @@ from lambdamu.lemmas import non_sn_catalog, random_typed_term
 from lambdamu.syntax import parse_term, print_term
 from lambdamu.terms import (
     CanonicalTerm,
-    _canonical_avoiding,
     alpha_eq,
     app,
     canonical,
     free_vars,
     lam,
     mu,
+    number_binders,
     substitute,
     var,
 )
@@ -151,7 +151,7 @@ def test_hred_is_a_one_step_reduct(t):
 def _arg_inclusion_holds(m, x, n):
     # arg(M[x:=N]) inside arg(N) + {N} + substituted arg(M), with M's
     # binders renamed apart from x and FV(N) (the variable convention)
-    m = _canonical_avoiding(m, {x} | free_vars(n) | free_vars(m))
+    m = number_binders(m, 0, {x} | free_vars(n) | free_vars(m))[0]
     lhs = arg_terms(substitute(m, x, n))
     rhs = set(arg_terms(n)) | {canonical(n)}
     rhs |= {canonical(substitute(q, x, n)) for q in arg_terms(m)}

@@ -127,6 +127,19 @@ def test_context_rejects_a_repeated_name():
         parse_context("x:bot, x:bot->bot")
 
 
+@pytest.mark.parametrize("text, word", [
+    ("  v:bot,  x:bot, x:bot", "x"),  # the repeated name
+    ("v:bot, mu:bot", "mu"),
+    ("v:bot, λ:bot", "λ"),  # a span of two bytes
+    ("v:bot, f:(bot", "("),  # the unbalanced parenthesis
+])
+def test_context_error_spans_are_byte_offsets_into_the_text(text, word):
+    with pytest.raises(ParseError) as err:
+        parse_context(text)
+    span = err.value.span
+    assert text.encode("utf-8")[span.start : span.end] == word.encode("utf-8")
+
+
 def test_annotation_with_arrow_round_trips():
     t = lam("z", arrow("bot", "bot"), var("z"))
     assert print_term(t) == "\\z:bot->bot. z"

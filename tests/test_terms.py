@@ -13,6 +13,7 @@ from lambdamu.terms import (
     fresh_name,
     lam,
     mu,
+    number_binders,
     strip_annotations,
     substitute,
     substitute_parallel,
@@ -179,6 +180,39 @@ def test_canonical_marks_a_term_without_free_names_starting_with_x(m):
 @settings(max_examples=500)
 def test_canonical_matches_the_two_pass_renaming(m):
     assert canonical(m) == two_pass_canonical(m)
+
+
+def _binder_names(t):
+    """The binder names of t in pre-order."""
+    out, todo = [], [t]
+    while todo:
+        t = todo.pop()
+        if t[0] == "app":
+            todo += [t[2], t[1]]
+        elif t[0] != "var":
+            out.append(t[1])
+            todo.append(t[3])
+    return out
+
+
+def test_number_binders_skips_the_avoided_numbers():
+    t = lam("a", None, mu("b", None, app(var("x1"), var("a"))))
+    got, end, free = number_binders(t, 0, {"x0", "x1"})
+    assert got == lam("x2", None, mu("x3", None, app(var("x1"), var("x2"))))
+    assert (end, free) == (4, {"x1"})
+
+
+@given(numbered_terms, st.frozensets(st.sampled_from(["x0", "x1", "x2", "x3", "x4", "y"])))
+@settings(max_examples=500)
+def test_number_binders_keeps_the_variable_convention(m, extra):
+    # with every free name avoided, the numbering is alpha-equivalent to
+    # m and its binders are pairwise distinct and outside the avoid set
+    avoid = free_vars(m) | extra
+    got = number_binders(m, 0, avoid)[0]
+    assert alpha_eq(got, m)
+    bound = _binder_names(got)
+    assert len(set(bound)) == len(bound)
+    assert avoid.isdisjoint(bound)
 
 
 @given(terms, terms)
