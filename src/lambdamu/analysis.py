@@ -60,7 +60,8 @@ class ReductionGraph:
 def _headroom(fn):
     """fn with the recursion limit raised to _RECURSION_FLOOR while it
     runs, and the caller's limit given back on return: the reducts of a
-    grower are deep left spines, past the default limit."""
+    grower are deep left spines, past the default limit, and the code
+    that prints or types the nodes of a graph walks them too."""
 
     @functools.wraps(fn)
     def run(*args, **kwargs):
@@ -143,7 +144,6 @@ def clear_sn_cache() -> None:
     _sn_cache.clear()
 
 
-@_headroom
 def explore_sn(t: Term, fuel: int) -> SnStatus:
     """The verdict on t at a node fuel.
 
@@ -153,33 +153,29 @@ def explore_sn(t: Term, fuel: int) -> SnStatus:
     construction: StronglyNormalizing only for a completely explored (or
     composed) acyclic graph, NotSN only with a verified cycle witness.
     """
-    root = _root(t, fuel)
+    return _verdict(t, fuel, True)
+
+
+def _search_sn(t: Term, fuel: int) -> SnStatus:
+    """explore_sn without composition: the verdict of a search of t's
+    whole graph, for checks that compare it with the verdicts of parts."""
+    return _verdict(t, fuel, False)
+
+
+@_headroom
+def _verdict(t: Term, fuel: int, compose: bool) -> SnStatus:
+    if fuel < 1:
+        raise ValueError("fuel must be at least 1")
+    root = canonical(t)
     if is_normal_form(root):
         return StronglyNormalizing(0, 1)
     key = (root, fuel)
     found = _sn_cache.get(key)
-    if found is None:
+    if found is None and compose:
         found = _compose(root, fuel)
-        if found is None:
-            found = _search(key)
+    if found is None:
+        found = _search(key)
     return found[0]
-
-
-@_headroom
-def _search_sn(t: Term, fuel: int) -> SnStatus:
-    """explore_sn without composition: the verdict of a search of t's
-    whole graph, for checks that compare it with the verdicts of parts."""
-    root = _root(t, fuel)
-    if is_normal_form(root):
-        return StronglyNormalizing(0, 1)
-    key = (root, fuel)
-    return (_sn_cache.get(key) or _search(key))[0]
-
-
-def _root(t: Term, fuel: int) -> Term:
-    if fuel < 1:
-        raise ValueError("fuel must be at least 1")
-    return canonical(t)
 
 
 def _search(key: tuple[Term, int]) -> tuple[SnStatus, int]:
@@ -324,6 +320,7 @@ def _dot_quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+@_headroom
 def graph_to_dot(g: ReductionGraph) -> str:
     """DOT rendering: nodes are printed canonical terms, lexicographic
     order, the root marked root=true."""

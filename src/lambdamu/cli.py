@@ -31,6 +31,7 @@ from .analysis import (
 from .lemmas import SUITES, SamplingFailed, SuiteConfig, report_to_json, run_suite
 from .corpus import enumerate_typed_of_type
 from .reduction import (
+    STRATEGIES,
     format_trace,
     redex_positions,
     reduce_at,
@@ -186,7 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="run a reduction strategy")
     term_arg(p)
     ctx_flag(p)
-    p.add_argument("--strategy", choices=["head", "lo", "leftmost-outermost", "random"], default="lo")
+    p.add_argument("--strategy", choices=STRATEGIES, default="lo")
     p.add_argument("--max-steps", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", action="store_true", help="print each step: index, path, term")
@@ -255,7 +256,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return USAGE
-    except (OSError, SamplingFailed, RecursionError) as err:
+    except (OSError, UnicodeDecodeError, SamplingFailed, RecursionError) as err:
         # RecursionError: tuple equality recurses in C, so comparing two
         # distinct, equal, very deep terms can pass any recursion limit
         print(f"error: {err}", file=sys.stderr)

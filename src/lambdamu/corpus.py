@@ -34,6 +34,7 @@ is the only source of reported violations.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional
 
@@ -351,18 +352,11 @@ class _Unifier:
         return t
 
 
-@dataclass(frozen=True)
-class Principal:
-    """Most general typing of a shape: one type expression per binder in
-    pre-order (metavariables as ("?", k) leaves) and the root type."""
-
-    binder_types: tuple
-    root_type: object
-
-
-def principal_typing(shape: Term, ctx: Mapping[str, TypeExpr]) -> Optional[Principal]:
-    """Unification-based inference over an unannotated shape; None when
-    the shape admits no simple typing at all."""
+def principal_typing(shape: Term, ctx: Mapping[str, TypeExpr]) -> Optional[tuple]:
+    """The most general binder types of an unannotated shape, by
+    unification: one type expression per binder in pre-order, with
+    metavariables as ("?", k) leaves; None when the shape admits no
+    simple typing at all."""
     u = _Unifier()
     binders: list = []
 
@@ -395,10 +389,9 @@ def principal_typing(shape: Term, ctx: Mapping[str, TypeExpr]) -> Optional[Princ
             return None
         return tv
 
-    ty = walk(shape, dict(ctx))
-    if ty is None:
+    if walk(shape, dict(ctx)) is None:
         return None
-    return Principal(tuple(u.resolve(b) for b in binders), u.resolve(ty))
+    return tuple(u.resolve(b) for b in binders)
 
 
 def _match_into(expr, concrete, binding: dict) -> bool:
@@ -484,28 +477,24 @@ def assignment_count(binder_exprs, universe) -> int:
     return total
 
 
-def assignments(binder_exprs, universe) -> Iterator[dict]:
-    """All compatible metavariable assignments, deterministically."""
+def assignments(binder_exprs, universe) -> Iterator[tuple]:
+    """Every annotation vector, one type per binder, compatible with the
+    principal binder expressions: the product of their components'
+    assignments, in an order that does not depend on how their
+    metavariables are numbered."""
     comps = _components(list(binder_exprs))
-
-    def go(i: int, binding: dict) -> Iterator[dict]:
-        if i == len(comps):
-            yield binding
-            return
-        for b in _component_assignments(comps[i], universe):
-            merged = dict(binding)
-            merged.update(b)
-            yield from go(i + 1, merged)
-
-    yield from go(0, {})
+    choices = [list(_component_assignments(c, universe)) for c in comps]
+    for parts in itertools.product(*choices):
+        binding = {m: ty for part in parts for m, ty in part.items()}
+        yield tuple(_ground(e, binding) for e in binder_exprs)
 
 
-def apply_type_subst(expr, binding: dict):
+def _ground(expr, binding: dict):
+    # a match against a universe type binds every metavariable it meets
     if expr[0] == META:
-        got = binding.get(expr)
-        return expr if got is None else got
+        return binding[expr]
     if expr[0] == ARROW:
-        return (ARROW, apply_type_subst(expr[1], binding), apply_type_subst(expr[2], binding))
+        return (ARROW, _ground(expr[1], binding), _ground(expr[2], binding))
     return expr
 
 
@@ -769,22 +758,20 @@ def clear_scan_cache() -> None:
 
 
 def instances(shape: Term, binder_types, universe) -> Iterator[Term]:
-    """Every concrete annotated instance of `shape`: one per assignment
-    compatible with its principal binder types, in deterministic order
-    (the same for any numbering of their metavariables).  A match
-    against a concrete universe type binds every metavariable of the
-    expression, so the annotations are ground."""
-    for binding in assignments(binder_types, universe):
-        yield annotate_shape(shape, [apply_type_subst(e, binding) for e in binder_types])
+    """Every concrete annotated instance of `shape`: one per annotation
+    vector compatible with its principal binder types, in the order of
+    `assignments`."""
+    for vector in assignments(binder_types, universe):
+        yield annotate_shape(shape, vector)
 
 
 def materialize_instance(shape: Term, ctx: Mapping[str, TypeExpr], lgt_bound: int) -> Optional[Term]:
     """The first concrete annotated instance of a realizable shape, or
     None."""
-    p = principal_typing(shape, ctx)
-    if p is None:
+    binder_types = principal_typing(shape, ctx)
+    if binder_types is None:
         return None
-    return next(instances(shape, p.binder_types, enumerate_types(lgt_bound)), None)
+    return next(instances(shape, binder_types, enumerate_types(lgt_bound)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -816,7 +803,7 @@ def sr_shape_sweep(
 
     `binder_types` is the shape's principal typing under `ctx`: one
     type expression per binder in pre-order, as `ShapeEntry.binder_types`
-    or `principal_typing(shape, ctx).binder_types` give it; how its
+    or `principal_typing(shape, ctx)` give it; how its
     metavariables are numbered does not matter.  The shape is annotated
     with them and typed with `check_subject_reduction`.  Metavariables
     compare by syntactic equality, so a report without violations holds

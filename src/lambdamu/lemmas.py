@@ -549,8 +549,20 @@ def run_decomposition_suite(config: SuiteConfig) -> LemmaReport:
 # seeded suites
 
 
-def _derived_seed(seed: int, i: int) -> int:
-    return seed * 1000003 + i
+def _draws(suite: str, config: SuiteConfig, samples: int, trial) -> LemmaReport:
+    """The loop of l3, l5 and l7: `trial(i, rng)` draws and checks draw
+    i with its own rng, seeded from the config's seed and i, and returns
+    the draw's failure, a (term, context, reason) triple or None when it
+    holds, and its eta (0 when it has none)."""
+    started = time.perf_counter()
+    failures: list[tuple[str, str, str]] = []
+    max_eta = 0
+    for i in range(samples):
+        failure, eta = trial(i, random.Random(config.seed * 1000003 + i))
+        if failure is not None:
+            failures.append(failure)
+        max_eta = max(max_eta, eta)
+    return _finish(suite, config, samples, failures, max_eta, 0, started)
 
 
 _SAMPLE_GOALS_BUDGET = 9
@@ -562,17 +574,16 @@ class SamplingFailed(ValueError):
     size bound admit few typed terms, or none."""
 
 
-def _sample_term(
-    ctx: dict, rng: random.Random, budget: int, lgt_bound: int
-) -> TypedInstance:
-    """A random corpus instance: goal drawn from the type universe,
-    retrying derived seeds until the sampler succeeds, at most
-    _SAMPLE_DRAWS times."""
-    universe = enumerate_types(lgt_bound)
+def _sample_term(ctx: dict, rng: random.Random, config: SuiteConfig) -> TypedInstance:
+    """A random corpus instance within the config's bounds: goal drawn
+    from the type universe, retrying derived seeds until the sampler
+    succeeds, at most _SAMPLE_DRAWS times."""
+    budget = min(config.max_cxty, _SAMPLE_GOALS_BUDGET)
+    universe = enumerate_types(config.lgt_bound)
     for _ in range(_SAMPLE_DRAWS):
         goal = universe[rng.randrange(len(universe))]
         inst = random_typed_term(
-            ctx, goal, budget, rng.randrange(1 << 30), lgt_bound
+            ctx, goal, budget, rng.randrange(1 << 30), config.lgt_bound
         )
         if inst is not None:
             return inst
@@ -585,20 +596,17 @@ def _sample_term(
 def run_arg_inclusion_suite(config: SuiteConfig, samples: int = 1000) -> LemmaReport:
     """Seeded (M, x, N) triples from the corpus crossed with a
     substitution pool; the inclusion must hold on every one."""
-    started = time.perf_counter()
     ctx = config.context_dict
     ctx_str = print_context(ctx)
-    failures: list[tuple[str, str, str]] = []
-    budget = min(config.max_cxty, _SAMPLE_GOALS_BUDGET)
     pool = [
         parse_term("\\a. a a"),
         parse_term("(\\a. a a) (\\a. a a)"),
         parse_term("mu a. a a"),
         parse_term("\\a. \\b. a (a b)"),
     ]
-    for i in range(samples):
-        rng = random.Random(_derived_seed(config.seed, i))
-        inst = _sample_term(ctx, rng, budget, config.lgt_bound)
+
+    def trial(i: int, rng: random.Random):
+        inst = _sample_term(ctx, rng, config)
         term = inst.term if i % 2 == 0 else strip_annotations(inst.term)
         candidates = sorted(free_vars(term) | set(ctx) | {"subst_target"})
         x = candidates[rng.randrange(len(candidates))]
@@ -606,43 +614,40 @@ def run_arg_inclusion_suite(config: SuiteConfig, samples: int = 1000) -> LemmaRe
         if kind == 0:
             n = pool[rng.randrange(len(pool))]
         elif kind == 1:
-            n = _sample_term(ctx, rng, budget, config.lgt_bound).term
+            n = _sample_term(ctx, rng, config).term
         else:
-            n = strip_annotations(_sample_term(ctx, rng, budget, config.lgt_bound).term)
+            n = strip_annotations(_sample_term(ctx, rng, config).term)
         res = check_arg_substitution_inclusion(term, x, n)
-        if not res.holds:
-            failures.append(
-                (
-                    f"{print_term(term)} [{x}:={print_term(n)}]",
-                    ctx_str,
-                    res.detail or res.status,
-                )
-            )
-    return _finish("l3", config, samples, failures, 0, 0, started)
+        if res.holds:
+            return None, 0
+        return (
+            f"{print_term(term)} [{x}:={print_term(n)}]",
+            ctx_str,
+            res.detail or res.status,
+        ), 0
+
+    return _draws("l3", config, samples, trial)
 
 
 def run_application_suite(config: SuiteConfig, samples: int = 1000) -> LemmaReport:
     """Seeded SN instances (mixed annotated and annotation-stripped):
     applying each to a variable must stay SN with eta not dropping.
     Undecided counts as failure here."""
-    started = time.perf_counter()
     ctx = config.context_dict
     ctx_str = print_context(ctx)
-    failures: list[tuple[str, str, str]] = []
-    budget = min(config.max_cxty, _SAMPLE_GOALS_BUDGET)
-    max_eta = 0
-    for i in range(samples):
-        rng = random.Random(_derived_seed(config.seed, i))
-        inst = _sample_term(ctx, rng, budget, config.lgt_bound)
+
+    def trial(i: int, rng: random.Random):
+        inst = _sample_term(ctx, rng, config)
         term = inst.term if i % 2 == 0 else strip_annotations(inst.term)
         y = fresh_name("y", free_vars(term) | set(ctx))
         res = check_application_to_variable(term, y, config.fuel)
         st = explore_sn((APP, term, (VAR, y)), config.fuel)
-        if isinstance(st, StronglyNormalizing):
-            max_eta = max(max_eta, st.eta)
-        if not res.holds:
-            failures.append((print_term(term), ctx_str, res.detail or res.status))
-    return _finish("l5", config, samples, failures, max_eta, 0, started)
+        eta = st.eta if isinstance(st, StronglyNormalizing) else 0
+        if res.holds:
+            return None, eta
+        return (print_term(term), ctx_str, res.detail or res.status), eta
+
+    return _draws("l5", config, samples, trial)
 
 
 _MU_IMAGE_EVERY = 5
@@ -652,15 +657,12 @@ def run_substitution_suite(config: SuiteConfig, samples: int = 500) -> LemmaRepo
     """Seeded same-type substitution instances; every _MU_IMAGE_EVERY-th
     instance forces all images to be mu abstractions.  M[sigma] must be
     SN on every decided instance; undecided counts as failure."""
-    started = time.perf_counter()
     base_ctx = config.context_dict
-    failures: list[tuple[str, str, str]] = []
     budget = min(config.max_cxty, _SAMPLE_GOALS_BUDGET)
     universe = enumerate_types(config.lgt_bound)
     arrow_types = [t for t in universe if isinstance(t, tuple)]
-    max_eta = 0
-    for i in range(samples):
-        rng = random.Random(_derived_seed(config.seed, i))
+
+    def trial(i: int, rng: random.Random):
         force_mu = i % _MU_IMAGE_EVERY == 0
         # mu-rooted images of type bot would need an inhabited bot, so
         # stick to arrow types when forcing; fall through the candidates
@@ -669,12 +671,9 @@ def run_substitution_suite(config: SuiteConfig, samples: int = 500) -> LemmaRepo
         start = rng.randrange(len(pool))
         k = rng.randint(1, 3)
         xs = [f"s{j}" for j in range(k)]
-        inst = None
-        subs: dict[str, Term] = {}
-        ctx = dict(base_ctx)
         for shift in range(len(pool)):
             common = pool[(start + shift) % len(pool)]
-            subs = {}
+            subs: dict[str, Term] = {}
             for x in xs:
                 image = None
                 for _attempt in range(60):
@@ -692,52 +691,47 @@ def run_substitution_suite(config: SuiteConfig, samples: int = 500) -> LemmaRepo
                     break
                 subs[x] = image.term
             if len(subs) == len(xs):
-                ctx = dict(base_ctx)
-                ctx.update((x, common) for x in xs)
-                inst = _sample_term(
-                    ctx, random.Random(rng.randrange(1 << 30)), budget, config.lgt_bound
-                )
                 break
-        if inst is None:
-            failures.append(("-", print_context(base_ctx), "no image found"))
-            continue
+        else:
+            return ("-", print_context(base_ctx), "no image found"), 0
+        ctx = dict(base_ctx)
+        ctx.update((x, common) for x in xs)
+        inst = _sample_term(ctx, random.Random(rng.randrange(1 << 30)), config)
         res = check_same_type_substitution(inst, subs, config.fuel)
-        if res.measure is not None:
-            max_eta = max(max_eta, res.measure.eta_m)
-        if not res.holds:
-            sub_str = ", ".join(
-                f"{x}:={print_term(t)}" for x, t in sorted(subs.items())
-            )
-            failures.append(
-                (
-                    f"{print_term(inst.term)} [{sub_str}]",
-                    print_context(ctx),
-                    res.detail or res.status,
-                )
-            )
-    return _finish("l7", config, samples, failures, max_eta, 0, started)
+        eta = 0 if res.measure is None else res.measure.eta_m
+        if res.holds:
+            return None, eta
+        sub_str = ", ".join(
+            f"{x}:={print_term(t)}" for x, t in sorted(subs.items())
+        )
+        return (
+            f"{print_term(inst.term)} [{sub_str}]",
+            print_context(ctx),
+            res.detail or res.status,
+        ), eta
+
+    return _draws("l7", config, samples, trial)
 
 
-SUITES = ("l3", "l4", "l5", "l7", "sr", "thm8")
+# suite name -> (runner, whether it takes a sample count)
+_RUNNERS = {
+    "l3": (run_arg_inclusion_suite, True),
+    "l4": (run_decomposition_suite, False),
+    "l5": (run_application_suite, True),
+    "l7": (run_substitution_suite, True),
+    "sr": (run_subject_reduction_suite, False),
+    "thm8": (run_sn_suite, False),
+}
+SUITES = tuple(_RUNNERS)
 
 
 def run_suite(name: str, config: SuiteConfig, samples: Optional[int] = None) -> LemmaReport:
-    if name == "thm8":
-        return run_sn_suite(config)
-    if name == "sr":
-        return run_subject_reduction_suite(config)
-    if name == "l4":
-        return run_decomposition_suite(config)
-    sampled = {
-        "l3": run_arg_inclusion_suite,
-        "l5": run_application_suite,
-        "l7": run_substitution_suite,
-    }.get(name)
-    if sampled is not None:
-        # None keeps the suite's own default sample count
-        if samples is None:
-            return sampled(config)
-        if samples < 0:
-            raise ValueError(f"samples must be at least 0, got {samples}")
-        return sampled(config, samples)
-    raise ValueError(f"unknown suite {name!r} (expected one of {', '.join(SUITES)})")
+    if name not in _RUNNERS:
+        raise ValueError(f"unknown suite {name!r} (expected one of {', '.join(SUITES)})")
+    run, seeded = _RUNNERS[name]
+    # None keeps a seeded suite's own default sample count
+    if samples is None or not seeded:
+        return run(config)
+    if samples < 0:
+        raise ValueError(f"samples must be at least 0, got {samples}")
+    return run(config, samples)

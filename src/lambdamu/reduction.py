@@ -272,7 +272,7 @@ class Trace:
         return self.steps[-1].term if self.steps else self.start
 
 
-STRATEGIES = ("head", "leftmost-outermost", "lo", "random")
+STRATEGIES = ("head", "lo", "leftmost-outermost", "random")
 
 
 def _next_path(t: Term, strategy: str, rng: random.Random) -> Optional[Path]:

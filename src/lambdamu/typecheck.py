@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .analysis import reduction_graph
+from .analysis import _headroom, reduction_graph
 from .syntax import format_type, print_context, print_term
 from .terms import APP, ARROW, BOT, LAM, MU, VAR, Term, TypeExpr
 
@@ -170,6 +170,7 @@ class SubjectReductionReport:
         return not self.violations
 
 
+@_headroom
 def check_subject_reduction(
     ctx: Mapping[str, TypeExpr], t: Term, fuel: int
 ) -> SubjectReductionReport:

@@ -98,15 +98,15 @@ def generate_and_filter_scan(ctx: dict, max_cxty: int, lgt_bound: int) -> ShapeS
     total = seen = typeable = 0
     for shape in iter_shapes(tuple(free), max_cxty):
         seen += 1
-        p = principal_typing(shape, ctx)
-        if p is None:
+        binder_types = principal_typing(shape, ctx)
+        if binder_types is None:
             continue
         typeable += 1
-        count = assignment_count(p.binder_types, universe)
+        count = assignment_count(binder_types, universe)
         if count:
             entries.append(ShapeEntry(
                 _shape_code(shape, table.names), count, is_normal_form(shape),
-                _first_occurrence(p.binder_types), table,
+                _first_occurrence(binder_types), table,
             ))
             total += count
     return ShapeScan(tuple(entries), total, seen, typeable)

@@ -240,6 +240,37 @@ def test_equal_deep_reducts_are_one_error_line_in_a_fresh_process(tmp_path, comm
     assert len(lines) == 1 and lines[0].startswith("error: "), done.stderr[-500:]
 
 
+def test_graph_of_a_deep_binder_chain_in_a_fresh_process():
+    # a fresh process at the default recursion limit: `sn` decides the
+    # term, and printing the nodes of its graph walks 700-deep binder
+    # chains
+    import lambdamu
+
+    src = str(Path(lambdamu.__file__).resolve().parent.parent)
+    term = "(\\f. f (f v)) (\\y. " + "".join(f"\\a{i}. " for i in range(700)) + "y)"
+    done = subprocess.run(
+        [sys.executable, "-m", "lambdamu.cli", "graph", term, "--context", "v:bot"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0 and done.stderr == "", done.stderr[-500:]
+    lines = done.stdout.splitlines()
+    assert len(lines) == 12 and (lines[0], lines[-1]) == ("digraph reduction {", "}")
+    assert sum(" -> " in line for line in lines) == 5
+    assert sum(line.endswith(" [root=true];") for line in lines) == 1
+
+
+@pytest.mark.parametrize("command", ["check", "sn"])
+def test_a_file_that_is_not_utf8_is_a_usage_error(capsys, tmp_path, command):
+    path = tmp_path / "term.lmu"
+    path.write_bytes(b"\xff\\x. x\n")
+    code, out, err = run(capsys, command, f"@{path}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_sn_on_a_root_larger_than_the_fuel_allowance(capsys):
     term = "(\\x. x) (" + " ".join(["v"] * 1400) + ")"
     code, out, _ = run(capsys, "sn", term, "--fuel", "10")

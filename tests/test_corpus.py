@@ -5,7 +5,6 @@ agree with the per-instance checker."""
 import pytest
 
 from lambdamu.corpus import (
-    apply_type_subst,
     assignment_count,
     assignments,
     annotate_shape,
@@ -110,30 +109,30 @@ def test_principal_typing_and_assignments():
     p = principal_typing(shape, {})
     assert p is not None
     # one binder, any universe annotation fits
-    assert assignment_count(p.binder_types, enumerate_types(2)) == 4
+    assert assignment_count(p, enumerate_types(2)) == 4
     # self-application has no simple typing
     assert principal_typing(parse_term("\\b0. b0 b0"), {}) is None
     # applying b0 to v:bot forces b0 into an arrow with domain bot;
     # the universe has two of those
     p = principal_typing(parse_term("\\b0. b0 v"), {"v": BOT})
-    assert assignment_count(p.binder_types, enumerate_types(2)) == 2
+    assert assignment_count(p, enumerate_types(2)) == 2
 
 
 def test_assignments_are_consistent_and_exhaustive():
     shape = parse_term("\\b0. \\b1. b0 b1")
     p = principal_typing(shape, {})
     universe = enumerate_types(2)
-    n = 0
-    for binding in assignments(p.binder_types, universe):
-        n += 1
-        inst = annotate_shape(
-            shape, [apply_type_subst(e, binding) for e in p.binder_types]
-        )
-        infer({}, inst)  # must not raise
-    assert n == assignment_count(p.binder_types, universe)
+    vectors = list(assignments(p, universe))
+    for vector in vectors:
+        infer({}, annotate_shape(shape, vector))  # must not raise
+    assert len(vectors) == assignment_count(p, universe)
     # b0 must be an arrow whose domain is b1's annotation: 3 arrows in the
-    # universe, each fixing b1
-    assert n == 3
+    # universe, each fixing b1, in the universe's order of b0's type
+    assert vectors == [
+        (parse_type("bot -> bot"), BOT),
+        (parse_type("bot -> bot -> bot"), BOT),
+        (parse_type("(bot -> bot) -> bot"), parse_type("bot -> bot")),
+    ]
 
 
 def test_materialize_instance_typechecks():
@@ -205,16 +204,10 @@ def test_assignment_order_does_not_depend_on_metavariable_numbering():
     exprs = (("?", 1), ("?", 3), ("?", 2), (ARROW, ("?", 1), ("?", 2)))
     universe = enumerate_types(2)
 
-    def listed(exprs):
-        return [
-            tuple(apply_type_subst(e, b) for e in exprs)
-            for b in assignments(exprs, universe)
-        ]
-
-    expected = listed(exprs)
+    expected = list(assignments(exprs, universe))
     assert len(expected) == 4 * 3
     for f in (lambda k: 1000 - k, lambda k: k + 7, lambda k: 13 * k, lambda k: 5 - k):
-        assert listed(tuple(_renumber(e, f) for e in exprs)) == expected
+        assert list(assignments(tuple(_renumber(e, f) for e in exprs), universe)) == expected
 
 
 def test_instance_order_does_not_depend_on_metavariable_numbering():
@@ -227,8 +220,8 @@ def test_instance_order_does_not_depend_on_metavariable_numbering():
         expected = list(corpus.instances(shape, entry.binder_types, universe))
         assert len(expected) == entry.instances
         p = principal_typing(shape, ctx)
-        mirrored = tuple(_renumber(e, lambda k: 1000 - k) for e in p.binder_types)
-        for exprs in (p.binder_types, mirrored):
+        mirrored = tuple(_renumber(e, lambda k: 1000 - k) for e in p)
+        for exprs in (p, mirrored):
             assert list(corpus.instances(shape, exprs, universe)) == expected, entry.text
 
 
@@ -302,11 +295,8 @@ def test_symbolic_sr_agrees_with_per_instance_checks():
         shape = entry.shape
         res = sr_shape_sweep(shape, entry.binder_types, ctx, 2)
         assert not res.violations, (entry.text, res.violations)
-        p = principal_typing(shape, ctx)
-        for binding in assignments(p.binder_types, universe):
-            inst = annotate_shape(
-                shape, [apply_type_subst(e, binding) for e in p.binder_types]
-            )
+        for vector in assignments(principal_typing(shape, ctx), universe):
+            inst = annotate_shape(shape, vector)
             report = check_subject_reduction(ctx, inst, 1000)
             assert report.ok, (entry.text, print_term(inst))
             checked_edges += report.edges_checked
@@ -343,7 +333,7 @@ def test_sr_sweep_falls_back_to_concrete_instances(monkeypatch):
     monkeypatch.setattr(analysis, "one_step_reducts", with_stray)
     monkeypatch.setattr(reduction, "one_step_reducts", with_stray)
     shape = parse_term("(\\b0. b0) v")
-    res = sr_shape_sweep(shape, principal_typing(shape, {"v": BOT}).binder_types, {"v": BOT}, 2)
+    res = sr_shape_sweep(shape, principal_typing(shape, {"v": BOT}), {"v": BOT}, 2)
     assert res.fallbacks == 1
     assert res.violations == [
         ("(\\b0:bot. b0) v", "(\\x0:bot. x0) v -> \\x0:bot. x0 has type bot -> bot")
@@ -360,6 +350,6 @@ def test_sr_fallback_cap_names_a_concrete_instance(monkeypatch):
     )
     monkeypatch.setattr(corpus, "_FALLBACK_CAP", 0)
     shape = parse_term("(\\b0. b0) v")
-    res = sr_shape_sweep(shape, principal_typing(shape, {"v": BOT}).binder_types, {"v": BOT}, 2)
+    res = sr_shape_sweep(shape, principal_typing(shape, {"v": BOT}), {"v": BOT}, 2)
     assert res.violations == [("(\\b0:bot. b0) v", "fallback instance cap exceeded")]
     infer({"v": BOT}, parse_term(res.violations[0][0]))  # must not raise

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 
@@ -115,6 +120,35 @@ def test_subject_reduction_on_a_cut_graph_is_incomplete():
     assert not report.complete and report.ok
     assert (report.nodes_checked, report.edges_checked) == (1, 0)
     assert check_subject_reduction({"y": "bot"}, t, 3).complete
+
+
+def test_subject_reduction_of_a_deep_reduct_in_a_fresh_process():
+    # a fresh process at the default recursion limit: the explorer
+    # decides the term, and typing its 1,200-deep reduct walks the
+    # binder chain
+    import lambdamu
+
+    src = str(Path(lambdamu.__file__).resolve().parent.parent)
+    code = (
+        "from lambdamu.analysis import explore_sn\n"
+        "from lambdamu.syntax import parse_term\n"
+        "from lambdamu.typecheck import check_subject_reduction\n"
+        "c = ' -> '.join(['bot'] * 601)\n"
+        "t = parse_term(f'(\\\\h:{c}. ' + ''.join(f'\\\\a{i}:bot. ' for i in range(600))\n"
+        "               + 'h) (' + ''.join(f'\\\\b{i}:bot. ' for i in range(600)) + 'v)')\n"
+        "print(explore_sn(t, 1000))\n"
+        "r = check_subject_reduction({'v': 'bot'}, t, 1000)\n"
+        "print(r.ok, r.nodes_checked, r.edges_checked, r.complete)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr[-500:]
+    assert done.stdout == "StronglyNormalizing(eta=1, graph_nodes=2)\nTrue 2 1 True\n"
 
 
 def test_subject_reduction_lists_each_edge_into_a_mistyped_node(monkeypatch):
