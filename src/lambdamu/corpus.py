@@ -4,9 +4,10 @@ Three views of "every well-typed term within bounds":
 
 * an honest per-instance enumerator (used directly at small sizes and as
   the reference the other two are tested against),
-* an exact instance count via dynamic programming over context
-  multisets (annotations and variable names never need to be spelled
-  out to count derivations),
+* an exact instance count, memoized over (context multiset, size,
+  goal type): annotations and variable names never need to be spelled
+  out to count derivations, and the goal keeps the count off the
+  result types (after Grygiel & Lescanne, JFP 2013),
 * the annotation-erased shape quotient: reduction never reads
   annotations, so strong normalization, reduction length and graph
   shape are decided once per erased shape.  The scan generates only
@@ -62,21 +63,15 @@ META = "?"
 def enumerate_types(max_lgt: int) -> list[TypeExpr]:
     """All types with at most max_lgt arrows, fewest arrows first; within
     one arrow count, domains with fewer arrows come first."""
-
-    def exactly(k: int) -> list[TypeExpr]:
-        if k == 0:
-            return [BOT]
-        out = []
-        for dk in range(k):
-            for dom in exactly(dk):
-                for cod in exactly(k - 1 - dk):
-                    out.append((ARROW, dom, cod))
-        return out
-
-    out: list[TypeExpr] = []
-    for k in range(max_lgt + 1):
-        out.extend(exactly(k))
-    return out
+    exactly: list[list[TypeExpr]] = [[BOT]]
+    for k in range(1, max_lgt + 1):
+        exactly.append([
+            (ARROW, dom, cod)
+            for dk in range(k)
+            for dom in exactly[dk]
+            for cod in exactly[k - 1 - dk]
+        ])
+    return [ty for tys in exactly for ty in tys]
 
 
 # ---------------------------------------------------------------------------
@@ -169,82 +164,80 @@ def enumerate_typed_of_type(
 # exact instance counting (no terms materialized)
 
 
+def _fits(ty: TypeExpr, goal) -> bool:
+    """Whether `ty` meets `goal`: a type in which None, as the last
+    codomain, stands for any type (None alone is any type at all)."""
+    while isinstance(goal, tuple):
+        if not isinstance(ty, tuple) or ty[1] != goal[1]:
+            return False
+        ty, goal = ty[2], goal[2]
+    return goal is None or ty == goal
+
+
 def count_typed_instances(
     ctx: Mapping[str, TypeExpr], max_cxty: int, lgt_bound: int
 ) -> int:
-    """Number of terms enumerate_well_typed would yield, computed by DP
-    over (context multiset, size).  Variable names never matter for the
-    count: a var node picks one context entry of its type."""
+    """Number of terms enumerate_well_typed would yield, counted by goal
+    over (context multiset, size, goal), after Grygiel & Lescanne,
+    "Counting and generating lambda terms" (JFP 2013).  Variable names
+    never matter for the count: a var node picks one context entry that
+    meets the goal.
+
+    A goal is a type whose last codomain may be None, "any type": None
+    at the root, an argument's type, or `A -> goal` at a function part.
+    An application sums, over its split and its argument type A, the
+    functions of goal `A -> goal` times the arguments of type A.  Every
+    type has the form A1 -> ... -> Ak -> R, where each Ai is a lambda
+    annotation and R is a mu annotation or a codomain-chain suffix of a
+    context entry: a root type, a lambda annotation, or a mu binder's
+    `T -> bot`.  So A is a universe type or a domain on a root type's
+    codomain chain, and the count never ranges over result types."""
     universe = enumerate_types(lgt_bound)
-    ids: dict[TypeExpr, int] = {}
-    rev: list[TypeExpr] = []
+    arg_types = list(universe)
+    for ty in ctx.values():
+        while isinstance(ty, tuple):
+            if ty[1] not in arg_types:
+                arg_types.append(ty[1])
+            ty = ty[2]
+    memo: dict[tuple, int] = {}
 
-    def tid(t: TypeExpr) -> int:
-        i = ids.get(t)
-        if i is None:
-            i = len(rev)
-            ids[t] = i
-            rev.append(t)
-        return i
+    def bind(cms: tuple, ty: TypeExpr) -> tuple:
+        return tuple(sorted(cms + (ty,), key=repr))
 
-    uni = [tid(t) for t in universe]
-    negs = [tid((ARROW, t, BOT)) for t in universe]
-    bot = tid(BOT)
-    arrows: dict[int, tuple[int, int]] = {}
-
-    def arrow_parts(i: int) -> Optional[tuple[int, int]]:
-        if i in arrows:
-            return arrows[i]
-        t = rev[i]
-        parts = None if t == BOT else (tid(t[1]), tid(t[2]))
-        arrows[i] = parts
-        return parts
-
-    memo: dict[tuple[tuple[int, ...], int], dict[int, int]] = {}
-
-    def counts(cms: tuple[int, ...], n: int) -> dict[int, int]:
-        key = (cms, n)
+    def count(cms: tuple, n: int, goal) -> int:
+        key = (cms, n, goal)
         got = memo.get(key)
         if got is not None:
             return got
-        out: dict[int, int] = {}
         if n == 1:
-            for t in cms:
-                out[t] = out.get(t, 0) + 1
-        if n >= 2:
-            for u, nu in zip(uni, negs):
-                sub = counts(tuple(sorted(cms + (u,))), n - 1)
-                for b, c in sub.items():
-                    a = tid((ARROW, rev[u], rev[b]))
-                    arrows.setdefault(a, (u, b))
-                    out[a] = out.get(a, 0) + c
-                subm = counts(tuple(sorted(cms + (nu,))), n - 1)
-                c = subm.get(bot)
-                if c:
-                    out[u] = out.get(u, 0) + c
-        if n >= 3:
+            out = sum(1 for ty in cms if _fits(ty, goal))
+        else:
+            out = 0
+            # lambda: under a goal A -> B, only the annotation A
+            if goal is None:
+                for a in universe:
+                    out += count(bind(cms, a), n - 1, None)
+            elif isinstance(goal, tuple) and goal[1] in universe:
+                out += count(bind(cms, goal[1]), n - 1, goal[2])
+            # mu: the annotation is the term's own type
+            for a in universe:
+                if _fits(a, goal):
+                    out += count(bind(cms, (ARROW, a, BOT)), n - 1, BOT)
             for n1 in range(1, n - 1):
-                left = counts(cms, n1)
-                right = counts(cms, n - 1 - n1)
-                for f, cf in left.items():
-                    parts = arrow_parts(f)
-                    if parts is None:
-                        continue
-                    ca = right.get(parts[0])
-                    if ca:
-                        out[parts[1]] = out.get(parts[1], 0) + cf * ca
+                for a in arg_types:
+                    funs = count(cms, n1, (ARROW, a, goal))
+                    if funs:
+                        out += funs * count(cms, n - 1 - n1, a)
         memo[key] = out
         return out
 
-    root = tuple(sorted(tid(t) for t in ctx.values()))
+    root = tuple(sorted(ctx.values(), key=repr))
     try:
-        return sum(
-            sum(counts(root, n).values()) for n in range(1, max_cxty + 1)
-        )
+        return sum(count(root, n, None) for n in range(1, max_cxty + 1))
     finally:
-        # `counts` calls itself through its own closure cell: a cycle
+        # `count` calls itself through its own closure cell: a cycle
         # that would keep the memo alive until a full collection
-        del counts
+        del count
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ is swept symbolically so that one pass covers every annotation
 assignment.  The quotient engines are cross-validated against honest
 per-instance enumeration in test_corpus.py and test_lemmas.py; the
 instance counts here are additionally cross-checked against an
-independent dynamic-programming count.
+independent goal-directed count, which shares no code with the scan.
 """
 
 import random
@@ -69,15 +69,15 @@ def _pass(criterion: str, detail: str) -> None:
 
 def test_criterion_01_every_typed_term_strongly_normalizes():
     """Zero NotSN and zero Unknown across both corpora; instance counts
-    verified against the independent DP count."""
+    verified against the independent goal-directed count."""
     started = time.perf_counter()
     details = []
     for cfg in (CFG_V, CFG_EMPTY):
         report = run_suite("thm8", cfg)
         assert report.failures == (), report.failures[:5]
         assert report.passes == report.instances
-        dp = count_typed_instances(cfg.context_dict, MAX_CXTY, LGT_BOUND)
-        assert report.instances == dp, (report.instances, dp)
+        counted = count_typed_instances(cfg.context_dict, MAX_CXTY, LGT_BOUND)
+        assert report.instances == counted, (report.instances, counted)
         assert report.max_eta >= 1
         details.append(f"{dict(cfg.context) or '{}'}: {report.instances} instances")
     _pass("1", f"{'; '.join(details)} in {time.perf_counter() - started:.0f}s")
